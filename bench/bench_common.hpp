@@ -1,13 +1,15 @@
-// Shared driver for the paper-figure bench binaries: sweep the thread
-// ladder over a queue roster and print one table per configuration, in the
-// layout the paper's figures/tables encode (rows = thread counts, columns =
-// queues).
+// The table printers of cpq_bench_cli, one per benchmark mode, shared by
+// --mode and the presets: sweep the thread ladder over a queue roster and
+// print one table per configuration, in the layout the paper's
+// figures/tables encode (rows = thread counts, columns = queues), with one
+// JSON record per cell.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_framework/json_out.hpp"
@@ -147,25 +149,26 @@ inline void metrics_cell_report(const std::string& experiment,
 // drivers can exit non-zero.
 inline constexpr const char* kFailedCell = "failed";
 
-inline std::vector<const QueueSpec*> roster_from_env() {
-  const char* names = std::getenv("CPQ_QUEUES");
-  return resolve_roster(names ? names : "");
+inline std::vector<std::string> roster_names(
+    const std::vector<const QueueSpec*>& roster) {
+  std::vector<std::string> names;
+  for (const QueueSpec* spec : roster) names.push_back(spec->name);
+  return names;
 }
 
 inline std::string config_title(const std::string& label,
                                 const BenchConfig& cfg) {
-  return label + " — " + workload_name(cfg.workload) + " workload, " +
-         cfg.keys.name() + " keys";
+  return label + " — " + workloads::workload_name(cfg.workload) +
+         " workload, " + cfg.keys.name() + " keys";
 }
 
 // Throughput sweep: MOps/s mean ± 95% CI per (threads, queue). Each cell is
-// additionally appended to the CPQ_JSON sink (bench_framework/json_out.hpp).
+// additionally appended to the JSON sink (bench_framework/json_out.hpp).
 // Returns false when any cell failed (see kFailedCell).
 inline bool throughput_table(const std::string& label, BenchConfig cfg,
                              const Options& options,
                              const std::vector<const QueueSpec*>& roster) {
-  std::vector<std::string> columns;
-  for (const QueueSpec* spec : roster) columns.push_back(spec->name);
+  const std::vector<std::string> columns = roster_names(roster);
   Table table(config_title(label, cfg) + " — throughput [MOps/s]", "threads",
               columns);
   bool all_ok = true;
@@ -241,8 +244,7 @@ inline bool throughput_table(const std::string& label, BenchConfig cfg,
 inline bool interleaved_throughput_table(
     const std::string& label, BenchConfig cfg, const Options& options,
     const std::vector<const QueueSpec*>& roster) {
-  std::vector<std::string> columns;
-  for (const QueueSpec* spec : roster) columns.push_back(spec->name);
+  const std::vector<std::string> columns = roster_names(roster);
   Table table(config_title(label, cfg) +
                   " — interleaved throughput [MOps/s] (layout spread)",
               "threads", columns);
@@ -325,8 +327,7 @@ inline bool interleaved_throughput_table(
 inline bool quality_table(const std::string& label, BenchConfig cfg,
                           const Options& options,
                           const std::vector<const QueueSpec*>& roster) {
-  std::vector<std::string> columns;
-  for (const QueueSpec* spec : roster) columns.push_back(spec->name);
+  const std::vector<std::string> columns = roster_names(roster);
   Table table(config_title(label, cfg) + " — rank error mean (σ)", "threads",
               columns);
   bool all_ok = true;
@@ -366,6 +367,107 @@ inline bool quality_table(const std::string& label, BenchConfig cfg,
   return all_ok;
 }
 
+// Per-operation latency sweep (the paper's §F throughput/latency switch):
+// every operation timed individually, p50 / p99 ns per (threads, queue) in
+// one insert and one delete_min table from the same runs. With --metrics
+// each cell also prints its full insert and delete_min histograms. Returns
+// false when any cell failed.
+inline bool latency_table(const std::string& label, BenchConfig cfg,
+                          const Options& options,
+                          const std::vector<const QueueSpec*>& roster) {
+  const std::string title = config_title(label, cfg);
+  const std::vector<std::string> columns = roster_names(roster);
+  Table inserts(title + " — insert latency [ns] p50 / p99", "threads",
+                columns);
+  Table deletes(title + " — delete_min latency [ns] p50 / p99", "threads",
+                columns);
+  const auto p50_p99 = [](const LatencyPercentiles& p) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.0f / %.0f", p.p50_ns, p.p99_ns);
+    return std::string(buf);
+  };
+  bool all_ok = true;
+  for (unsigned threads : options.thread_ladder) {
+    cfg.threads = threads;
+    std::vector<std::string> insert_cells;
+    std::vector<std::string> delete_cells;
+    unsigned ok_cells = 0;
+    for (const QueueSpec* spec : roster) {
+      metrics_cell_begin(spec, threads);
+      const LatencyResult result = spec->latency(cfg);
+      const bool failed = result.failed();
+      if (failed) {
+        all_ok = false;
+        insert_cells.emplace_back(kFailedCell);
+        delete_cells.emplace_back(kFailedCell);
+      } else {
+        ++ok_cells;
+        insert_cells.push_back(p50_p99(result.insert));
+        delete_cells.push_back(p50_p99(result.delete_min));
+      }
+      const char* status = failed ? "failed" : "ok";
+      for (const auto& [metric, value] :
+           {std::pair{"latency_delete_p50_ns", result.delete_min.p50_ns},
+            std::pair{"latency_delete_p99_ns", result.delete_min.p99_ns},
+            std::pair{"latency_insert_p99_ns", result.insert.p99_ns}}) {
+        JsonSink::instance().record({title, spec->name, metric, threads,
+                                     value, 0.0, result.completed_reps,
+                                     status});
+      }
+      metrics_cell_report(title, spec->name, threads);
+      if (metrics_report_enabled() && !failed) {
+        result.insert_ns.print(stdout,
+                               (spec->name + " insert latency [ns]").c_str());
+        result.delete_ns.print(
+            stdout, (spec->name + " delete_min latency [ns]").c_str());
+      }
+    }
+    if (ok_cells == 0) {
+      std::fprintf(stderr,
+                   "[cpq] %s: dropping thread row %u (every cell failed)\n",
+                   label.c_str(), threads);
+      continue;
+    }
+    inserts.add_row(std::to_string(threads), std::move(insert_cells));
+    deletes.add_row(std::to_string(threads), std::move(delete_cells));
+  }
+  inserts.print();
+  deletes.print();
+  return all_ok;
+}
+
+// Larkin-Sen-Tarjan-style sorting phases (the paper's §F batch mode): all
+// threads insert cfg.prefill items, then delete until the queue is drained.
+// Fixed work instead of a time window, so the insert path (where the
+// appendix says Mounds dominate) and the delete path (CBPQ's FAA tickets,
+// Lindén's prefix batching) are timed apart: one MOps/s table per phase.
+// The workload shape does not apply; only the key distribution does.
+inline void sort_table(const std::string& label, BenchConfig cfg,
+                       const Options& options,
+                       const std::vector<const QueueSpec*>& roster) {
+  const std::string title = label + " — " + cfg.keys.name() + " keys";
+  const std::vector<std::string> columns = roster_names(roster);
+  Table inserts(title + " — sort insert phase [MOps/s]", "threads", columns);
+  Table deletes(title + " — sort delete phase [MOps/s]", "threads", columns);
+  for (unsigned threads : options.thread_ladder) {
+    cfg.threads = threads;
+    std::vector<std::string> insert_cells;
+    std::vector<std::string> delete_cells;
+    for (const QueueSpec* spec : roster) {
+      const auto [insert_mops, delete_mops] = spec->sort_phases(cfg);
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.2f", insert_mops);
+      insert_cells.emplace_back(buf);
+      std::snprintf(buf, sizeof(buf), "%.2f", delete_mops);
+      delete_cells.emplace_back(buf);
+    }
+    inserts.add_row(std::to_string(threads), std::move(insert_cells));
+    deletes.add_row(std::to_string(threads), std::move(delete_cells));
+  }
+  inserts.print();
+  deletes.print();
+}
+
 // Open-loop service sweep: every roster queue driven raw and through
 // PriorityService by identical Poisson client traffic. Rows are total
 // thread counts from the ladder (split half producers / half consumers);
@@ -376,8 +478,7 @@ inline bool service_table(const std::string& label,
                           service::ServiceBenchConfig cfg,
                           const Options& options,
                           const std::vector<const QueueSpec*>& roster) {
-  std::vector<std::string> columns;
-  for (const QueueSpec* spec : roster) columns.push_back(spec->name);
+  const std::vector<std::string> columns = roster_names(roster);
   Table throughput(label + " — delivered raw -> service [kTasks/s]",
                    "threads", columns);
   Table quality(label + " — completion rank error median raw -> service",
@@ -502,17 +603,42 @@ inline bool service_table(const std::string& label,
   return conserved;
 }
 
-inline void print_bench_header(const char* name, const char* reproduces,
+// Every panel of a preset over `roster`, through the mode printers above.
+// Returns false when any cell failed.
+inline bool run_preset(const PresetSpec& preset, const Options& options,
+                       const std::vector<const QueueSpec*>& roster) {
+  bool ok = true;
+  for (const PresetPanel& panel : preset.panels) {
+    BenchConfig cfg = base_config(options, panel.shape);
+    switch (panel.mode) {
+      case PanelMode::kThroughput:
+        ok &= throughput_table(panel.label, cfg, options, roster);
+        break;
+      case PanelMode::kQuality:
+        ok &= quality_table(panel.label, cfg, options, roster);
+        break;
+      case PanelMode::kInterleaved:
+        cfg.shuffle_prefill = true;
+        cfg.perturb_layout = true;
+        ok &= interleaved_throughput_table(panel.label, cfg, options, roster);
+        break;
+    }
+  }
+  return ok;
+}
+
+inline void print_bench_header(const std::string& name,
+                               const std::string& reproduces,
                                const Options& options) {
-  std::printf("# %s\n", name);
-  std::printf("# reproduces: %s\n", reproduces);
+  std::printf("# %s\n", name.c_str());
+  std::printf("# reproduces: %s\n", reproduces.c_str());
   std::printf(
       "# prefill=%zu window=%.0fms reps=%u seed=%llu threads=",
       options.prefill, options.duration_s * 1000.0, options.repetitions,
       static_cast<unsigned long long>(options.seed));
   for (unsigned t : options.thread_ladder) std::printf("%u,", t);
   std::printf(
-      "\n# scale up with CPQ_THREADS/CPQ_BENCH_MS/CPQ_BENCH_REPS/CPQ_PREFILL "
+      "\n# scale up with --threads/--ms/--reps/--prefill "
       "(paper: 10^6 prefill, 10 s windows, 10 reps)\n");
 }
 

@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "bench_framework/keygen.hpp"
 #include "mm/epoch.hpp"
 #include "mm/hazard.hpp"
 #include "platform/rng.hpp"
@@ -31,6 +30,7 @@
 #include "seq/order_statistic_tree.hpp"
 #include "seq/pairing_heap.hpp"
 #include "seq/seq_lsm.hpp"
+#include "workloads/keyspace.hpp"
 
 namespace {
 
@@ -89,11 +89,11 @@ void BM_HazardAcquire(benchmark::State& state) {
 BENCHMARK(BM_HazardAcquire);
 
 void BM_KeyGenerator(benchmark::State& state) {
-  using cpq::bench::KeyConfig;
+  using cpq::workloads::KeyConfig;
   const KeyConfig configs[] = {KeyConfig::uniform(32), KeyConfig::uniform(8),
                                KeyConfig::ascending(),
                                KeyConfig::descending()};
-  cpq::bench::KeyGenerator gen(configs[state.range(0)], 1, 0);
+  cpq::workloads::KeyGenerator gen(configs[state.range(0)], 1, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gen.next());
   }

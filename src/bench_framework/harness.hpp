@@ -30,9 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "bench_framework/keygen.hpp"
 #include "bench_framework/stats.hpp"
-#include "bench_framework/workload.hpp"
 #include "obs/metrics.hpp"
 #include "platform/backoff.hpp"
 #include "platform/cache.hpp"
@@ -41,13 +39,15 @@
 #include "validation/watchdog.hpp"
 #include "workloads/arrivals.hpp"
 #include "workloads/hygiene.hpp"
+#include "workloads/keyspace.hpp"
+#include "workloads/shape.hpp"
 
 namespace cpq::bench {
 
 struct BenchConfig {
   unsigned threads = 1;
-  Workload workload = Workload::kUniform;
-  KeyConfig keys = KeyConfig::uniform(32);
+  workloads::Workload workload = workloads::Workload::kUniform;
+  workloads::KeyConfig keys = workloads::KeyConfig::uniform(32);
   std::size_t prefill = 100'000;
   double duration_s = 0.1;            // throughput mode
   std::uint64_t ops_per_thread = 0;   // quality mode
@@ -143,7 +143,8 @@ template <typename Queue>
 void prefill_queue(Queue& queue, const BenchConfig& cfg, std::uint64_t seed,
                    std::vector<OpLogEntry>* log) {
   auto handle = queue.get_handle(0);
-  KeyGenerator gen(cfg.keys, seed ^ 0x9e3779b9ULL, detail::kPrefillThread);
+  workloads::KeyGenerator gen(cfg.keys, seed ^ 0x9e3779b9ULL,
+                            detail::kPrefillThread);
   if (cfg.shuffle_prefill) {
     // Hygiene: generate first, insert in seeded-random order, so the queue
     // cannot inherit a conveniently ordered initial structure from the
@@ -203,10 +204,10 @@ double throughput_rep(Queue& queue, const BenchConfig& cfg,
     team.emplace_back([&, tid] {
       if (cfg.pin_threads) pin_to_core(tid);
       auto handle = queue.get_handle(tid);
-      KeyGenerator gen(cfg.keys, seed, tid);
-      OpChooser chooser(cfg.workload, tid, cfg.threads, seed,
-                        cfg.insert_fraction, cfg.batch_size,
-                        cfg.producer_fraction);
+      workloads::KeyGenerator gen(cfg.keys, seed, tid);
+      workloads::OpChooser chooser(cfg.workload, tid, cfg.threads, seed,
+                                   cfg.insert_fraction, cfg.batch_size,
+                                   cfg.producer_fraction);
       std::optional<workloads::ArrivalProcess> arrival;
       if (cfg.arrivals.enabled()) {
         arrival.emplace(cfg.arrivals, seed, tid);
@@ -347,10 +348,10 @@ void quality_rep(Queue& queue, const BenchConfig& cfg, std::uint64_t seed,
     team.emplace_back([&, tid] {
       if (cfg.pin_threads) pin_to_core(tid);
       auto handle = queue.get_handle(tid);
-      KeyGenerator gen(cfg.keys, seed, tid);
-      OpChooser chooser(cfg.workload, tid, cfg.threads, seed,
-                        cfg.insert_fraction, cfg.batch_size,
-                        cfg.producer_fraction);
+      workloads::KeyGenerator gen(cfg.keys, seed, tid);
+      workloads::OpChooser chooser(cfg.workload, tid, cfg.threads, seed,
+                                   cfg.insert_fraction, cfg.batch_size,
+                                   cfg.producer_fraction);
       auto& log = logs[tid];
       log.reserve(cfg.ops_per_thread);
       std::uint64_t insert_counter = 0;

@@ -140,22 +140,21 @@ std::string to_json_line(const JsonRecord& record) {
 
 bool parse_json_record(const std::string& line, JsonRecord& out) {
   out = JsonRecord{};
-  out.schema_version = 1;  // absent key = pre-versioning files
   Cursor cur{line.c_str()};
   if (!cur.consume('{')) return false;
-  bool seen[7] = {};
-  bool seen_status = false;
-  bool seen_version = false;
+  // experiment, threads, queue, metric, mean, ci95, reps, status,
+  // schema_version: every key is required exactly once.
+  bool seen[9] = {};
   for (;;) {
     std::string key;
     if (!parse_string(cur, key)) return false;
     if (!cur.consume(':')) return false;
     if (key == "schema_version") {
       double v = 0;
-      if (seen_version || !parse_number(cur, v)) return false;
-      if (v < 1 || v > kJsonSchemaVersion) return false;
+      if (seen[8] || !parse_number(cur, v)) return false;
+      if (v < kMinJsonSchemaVersion || v > kJsonSchemaVersion) return false;
       out.schema_version = static_cast<unsigned>(v);
-      seen_version = true;
+      seen[8] = true;
     } else if (key == "experiment") {
       if (seen[0] || !parse_string(cur, out.experiment)) return false;
       seen[0] = true;
@@ -174,7 +173,7 @@ bool parse_json_record(const std::string& line, JsonRecord& out) {
       if (seen[4]) return false;
       cur.skip_ws();
       if (std::strncmp(cur.p, "null", 4) == 0) {
-        // Schema v2: metric unavailable in this environment.
+        // Metric unavailable in this environment.
         cur.p += 4;
         out.mean = 0.0;
         out.mean_is_null = true;
@@ -191,10 +190,9 @@ bool parse_json_record(const std::string& line, JsonRecord& out) {
       out.reps = static_cast<unsigned>(v);
       seen[6] = true;
     } else if (key == "status") {
-      // Optional (pre-status files omit it; JsonRecord defaults to "ok").
-      if (seen_status || !parse_string(cur, out.status)) return false;
+      if (seen[7] || !parse_string(cur, out.status)) return false;
       if (out.status != "ok" && out.status != "failed") return false;
-      seen_status = true;
+      seen[7] = true;
     } else {
       return false;  // schema drift: unknown key
     }
@@ -213,12 +211,6 @@ bool parse_json_record(const std::string& line, JsonRecord& out) {
 JsonSink& JsonSink::instance() {
   static JsonSink sink;
   return sink;
-}
-
-JsonSink::JsonSink() {
-  if (const char* path = std::getenv("CPQ_JSON"); path && *path) {
-    path_ = path;
-  }
 }
 
 void JsonSink::set_path(std::string path) {
@@ -244,7 +236,7 @@ void JsonSink::record(const JsonRecord& record) {
     static bool warned = false;
     if (!warned) {
       warned = true;
-      std::fprintf(stderr, "[cpq] CPQ_JSON: cannot append to '%s'\n",
+      std::fprintf(stderr, "[cpq] --json: cannot append to '%s'\n",
                    path_.c_str());
     }
   }

@@ -2,17 +2,17 @@
 // Lines"), one line per (experiment, threads, queue, metric) cell.
 //
 // The ASCII tables are for humans; perf-trajectory tooling needs something
-// it can parse without scraping column widths. Setting the environment
-// variable CPQ_JSON=<path> (or passing --json[=path] to cpq_bench_cli)
-// makes every table-producing helper additionally append records of the
-// form
+// it can parse without scraping column widths. Passing --json[=path] to
+// cpq_bench_cli makes every table-producing helper additionally append
+// records of the form
 //
-//   {"experiment":"fig1","threads":4,"queue":"mq",
-//    "metric":"throughput_mops","mean":12.34,"ci95":0.56,"reps":3}
+//   {"schema_version":4,"experiment":"Fig. 1 — uniform workload, uniform32
+//    keys","threads":4,"queue":"mq","metric":"throughput_mops",
+//    "mean":12.34,"ci95":0.56,"reps":3,"status":"ok"}
 //
-// to <path> ("-" writes to stdout). Appending (not truncating) lets one
-// sweep over several bench binaries accumulate into a single BENCH_*.json
-// trajectory file. The writer and the parser below round-trip exactly
+// to <path> ("-" writes to stdout). Appending (not truncating) lets several
+// presets or modes accumulate into a single BENCH_*.json trajectory file.
+// The writer and the parser below round-trip exactly
 // (tests/bench_framework_test.cpp), so downstream tooling can rely on the
 // schema.
 #pragma once
@@ -37,6 +37,9 @@ namespace cpq::bench {
 //       JSONL export (obs/timeseries.hpp writes "kind":"telemetry" lines
 //       stamped with the same schema_version).
 inline constexpr unsigned kJsonSchemaVersion = 4;
+// Oldest version the parser accepts: v3 lines are valid v4 lines (v4 only
+// added metric families); v1/v2 lines are rejected.
+inline constexpr unsigned kMinJsonSchemaVersion = 3;
 
 struct JsonRecord {
   std::string experiment;  // e.g. "fig1_uniform_uniform"
@@ -48,12 +51,11 @@ struct JsonRecord {
   unsigned reps = 0;
   // "ok" or "failed". A failed cell (every repetition threw) zeroes mean
   // and ci95; the explicit status keeps it distinguishable from a real
-  // measurement of 0. Always emitted; optional on parse (older files
-  // without the key read back as "ok").
+  // measurement of 0. Always emitted and required on parse.
   std::string status = "ok";
   // Fields below are appended so existing aggregate-initialized literals
   // keep their meaning.
-  unsigned schema_version = kJsonSchemaVersion;  // 1 when parsed from old files
+  unsigned schema_version = kJsonSchemaVersion;
   // True renders "mean":null (and mean is ignored): the metric could not be
   // measured in this environment at all.
   bool mean_is_null = false;
@@ -66,25 +68,27 @@ struct JsonRecord {
 std::string to_json_line(const JsonRecord& record);
 
 // Parse a line produced by to_json_line (tolerating whitespace between
-// tokens and any key order). Returns false on malformed input or missing
-// keys; unknown keys are rejected so schema drift fails loudly in tests.
+// tokens and any key order). Returns false on malformed input, on missing
+// keys (schema_version and status included), and on a schema_version
+// outside [kMinJsonSchemaVersion, kJsonSchemaVersion]; unknown keys are
+// rejected so schema drift fails loudly in tests.
 bool parse_json_record(const std::string& line, JsonRecord& out);
 
-// Process-wide sink. Disabled unless CPQ_JSON is set or set_path() is
-// called; record() is thread-safe and appends one line per call.
+// Process-wide sink. Disabled until set_path() is called; record() is
+// thread-safe and appends one line per call.
 class JsonSink {
  public:
   static JsonSink& instance();
 
-  // Override the destination: "" disables, "-" writes to stdout, anything
-  // else appends to that file. Takes precedence over CPQ_JSON.
+  // Set the destination: "" disables, "-" writes to stdout, anything else
+  // appends to that file.
   void set_path(std::string path);
 
   bool enabled() const;
   void record(const JsonRecord& record);
 
  private:
-  JsonSink();
+  JsonSink() = default;
 
   std::string path_;
 };

@@ -109,10 +109,10 @@ LatencyResult run_latency(Factory&& make_queue, const BenchConfig& cfg) {
       SpinBarrier barrier(cfg.threads);
       run_team(cfg.threads, [&](unsigned tid) {
         auto handle = queue->get_handle(tid);
-        KeyGenerator gen(cfg.keys, seed, tid);
-        OpChooser chooser(cfg.workload, tid, cfg.threads, seed,
-                          cfg.insert_fraction, cfg.batch_size,
-                          cfg.producer_fraction);
+        workloads::KeyGenerator gen(cfg.keys, seed, tid);
+        workloads::OpChooser chooser(cfg.workload, tid, cfg.threads, seed,
+                                     cfg.insert_fraction, cfg.batch_size,
+                                     cfg.producer_fraction);
         auto& my_ins = ins[tid];
         auto& my_del = del[tid];
         std::uint64_t counter = 0;
@@ -202,7 +202,7 @@ std::pair<double, double> run_sort_phases(Factory&& make_queue,
     std::atomic<std::uint64_t> remaining{total};
     run_team(cfg.threads, [&](unsigned tid) {
       auto handle = queue->get_handle(tid);
-      KeyGenerator gen(cfg.keys, seed, tid);
+      workloads::KeyGenerator gen(cfg.keys, seed, tid);
       barrier.arrive_and_wait();
       stamps[tid].value.insert_start = now_ns();
       for (std::uint64_t i = 0; i < per_thread; ++i) {

@@ -1,67 +1,44 @@
 #include "bench_framework/options.hpp"
 
-#include <cstdlib>
-#include <string>
+#include <utility>
 
 namespace cpq::bench {
 
-namespace {
-
-const char* env(const char* name) { return std::getenv(name); }
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = env(name);
-  if (!value || !*value) return fallback;
-  return std::strtoull(value, nullptr, 10);
-}
-
-}  // namespace
-
-std::vector<unsigned> parse_thread_ladder(const char* text) {
-  std::vector<unsigned> ladder;
-  unsigned current = 0;
-  bool have_digit = false;
-  for (const char* p = text;; ++p) {
-    if (*p >= '0' && *p <= '9') {
-      current = current * 10 + static_cast<unsigned>(*p - '0');
-      have_digit = true;
-    } else {
-      if (have_digit && current > 0) ladder.push_back(current);
-      current = 0;
-      have_digit = false;
-      if (*p == '\0') break;
+bool parse_thread_ladder(std::string_view text, std::vector<unsigned>& ladder,
+                         std::string& bad) {
+  std::vector<unsigned> parsed;
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = text.find(',', start);
+    const std::string_view entry = text.substr(
+        start, comma == std::string_view::npos ? comma : comma - start);
+    // At most four digits keeps the accumulation far from overflow; the
+    // range check below does the rest.
+    bool ok = !entry.empty() && entry.size() <= 4;
+    unsigned value = 0;
+    for (const char c : entry) {
+      ok = ok && c >= '0' && c <= '9';
+      if (ok) value = value * 10 + static_cast<unsigned>(c - '0');
     }
+    if (!ok || value < 1 || value > kMaxLadderThreads) {
+      bad.assign(entry);
+      return false;
+    }
+    parsed.push_back(value);
+    if (comma == std::string_view::npos) break;
+    start = comma + 1;
   }
-  return ladder;
+  ladder = std::move(parsed);
+  return true;
 }
 
-Options options_from_env() {
-  Options options;
-  if (const char* ladder = env("CPQ_THREADS"); ladder && *ladder) {
-    options.thread_ladder = parse_thread_ladder(ladder);
-  }
-  if (options.thread_ladder.empty()) {
-    options.thread_ladder = {1, 2, 4, 8};
-  }
-  options.duration_s =
-      static_cast<double>(env_u64("CPQ_BENCH_MS", 60)) / 1000.0;
-  options.repetitions =
-      static_cast<unsigned>(env_u64("CPQ_BENCH_REPS", 3));
-  options.prefill = static_cast<std::size_t>(env_u64("CPQ_PREFILL", 100'000));
-  options.quality_ops = env_u64("CPQ_QOPS", 20'000);
-  options.seed = env_u64("CPQ_SEED", 42);
-  if (options.repetitions == 0) options.repetitions = 1;
-  return options;
-}
-
-BenchConfig base_config(const Options& options) {
-  BenchConfig config;
-  config.duration_s = options.duration_s;
-  config.repetitions = options.repetitions;
-  config.prefill = options.prefill;
-  config.ops_per_thread = options.quality_ops;
-  config.seed = options.seed;
-  return config;
+BenchConfig base_config(const Options& options, BenchConfig shape) {
+  shape.duration_s = options.duration_s;
+  shape.repetitions = options.repetitions;
+  shape.prefill = options.prefill;
+  shape.ops_per_thread = options.quality_ops;
+  shape.seed = options.seed;
+  return shape;
 }
 
 }  // namespace cpq::bench

@@ -1,20 +1,19 @@
-// Environment-driven benchmark options.
+// Benchmark options shared by every table printer.
 //
-// Every bench binary runs standalone with container-friendly defaults and
-// can be scaled back up to the paper's parameters on real hardware:
+// Defaults are container-friendly; cpq_bench_cli's flags scale them back up
+// to the paper's parameters on real hardware:
 //
-//   CPQ_THREADS   comma-separated ladder, e.g. "1,2,4,6,8,10,12,14,16"
-//                 (default "1,2,4,8")
-//   CPQ_BENCH_MS  measurement window per point in milliseconds
-//                 (default 60; paper: 10000)
-//   CPQ_BENCH_REPS repetitions per point (default 3; paper: 10+)
-//   CPQ_PREFILL   prefill item count (default 100000; paper: 1000000)
-//   CPQ_QOPS      quality-benchmark operations per thread (default 20000)
-//   CPQ_SEED      base RNG seed (default 42)
-//   CPQ_CSV       "1" to also emit CSV rows
+//   --threads   thread ladder (default 1,2,4,8; mars: 1,2,4,6,...,16)
+//   --ms        measurement window per point (default 60; paper: 10000)
+//   --reps      repetitions per point (default 3; paper: 10+)
+//   --prefill   prefill item count (default 100000; paper: 1000000)
+//   --ops       quality/latency operations per thread (default 20000)
+//   --seed      base RNG seed (default 42)
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_framework/harness.hpp"
@@ -22,7 +21,7 @@
 namespace cpq::bench {
 
 struct Options {
-  std::vector<unsigned> thread_ladder;
+  std::vector<unsigned> thread_ladder = {1, 2, 4, 8};
   double duration_s = 0.06;
   unsigned repetitions = 3;
   std::size_t prefill = 100'000;
@@ -30,16 +29,17 @@ struct Options {
   std::uint64_t seed = 42;
 };
 
-// Parse the CPQ_* environment variables over the defaults above.
-Options options_from_env();
+// Largest thread count a ladder entry may name.
+inline constexpr unsigned kMaxLadderThreads = 1024;
 
-// Parse a thread-ladder spec ("1,2,4,8"; any non-digit separates entries,
-// zeros are skipped). Returns an empty vector when no positive count is
-// found — callers decide whether that is an error or "use the default".
-std::vector<unsigned> parse_thread_ladder(const char* text);
+// Parse a thread ladder ("1,2,4,8"). Every comma-separated entry must be a
+// plain integer 1..kMaxLadderThreads. On failure returns false, leaves
+// `ladder` untouched, and sets `bad` to the first offending entry.
+bool parse_thread_ladder(std::string_view text, std::vector<unsigned>& ladder,
+                         std::string& bad);
 
-// A BenchConfig preloaded with the harness-wide options; callers then set
-// workload/keys/threads.
-BenchConfig base_config(const Options& options);
+// `shape` (workload, keys, arrivals, …) with the harness-wide options
+// applied on top; callers then set threads.
+BenchConfig base_config(const Options& options, BenchConfig shape = {});
 
 }  // namespace cpq::bench

@@ -32,18 +32,6 @@ using V = bench_value;
 static_assert(RelaxationSelfReporting<MultiQueue<K, V>>);
 static_assert(RelaxationSelfReporting<EngMultiQueue<K, V>>);
 
-// Engineered-variant configs derive from the CLI-tunable mq_tuning():
-// mq-buf = buffers only, mq-sticky = sticky rounds only, mq-eng = both.
-MqEngConfig eng_config(bool sticky, bool buffered) {
-  const MqTuning& tuning = mq_tuning();
-  MqEngConfig cfg;
-  cfg.c = tuning.c;
-  cfg.stickiness = sticky ? tuning.stickiness : 1;
-  cfg.ins_buffer = buffered ? tuning.buffer : 0;
-  cfg.del_buffer = buffered ? tuning.buffer : 0;
-  return cfg;
-}
-
 // Bind the template harness to a queue factory. Each runner stamps the
 // queue's registry name into the config so watchdog dumps and repetition
 // failure reports name the queue they supervise.
@@ -146,25 +134,32 @@ std::vector<QueueSpec> build_registry() {
         return std::make_unique<SprayList<K, V>>(threads, 1, seed);
       }));
 
-  registry.push_back(make_spec(
-      "mq", "MultiQueue, c=4, binary-heap backed",
-      /*strict=*/false, /*in_paper=*/true,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<MultiQueue<K, V>>(threads, 4, seed);
-      }));
-  // The MultiQueue's rank error is O(cP) only in expectation — soft bound,
-  // self-reported by the queue (queue_traits.hpp RelaxationSelfReporting),
-  // shown by the live estimator for context, never a violation.
-  registry.back().rank_bound = [](unsigned threads) {
-    return MultiQueue<K, V>(1, 4).soft_rank_bound(threads);
-  };
-  registry.back().rank_bound_hard = false;
+  // The paper fixes c=4 ("mq"); mq-c1/c2/c8 are the A2 ablation's sweep.
+  for (const unsigned c : {4u, 1u, 2u, 8u}) {
+    registry.push_back(make_spec(
+        c == 4 ? "mq" : "mq-c" + std::to_string(c),
+        "MultiQueue, c=" + std::to_string(c) + ", binary-heap backed",
+        /*strict=*/false, /*in_paper=*/c == 4,
+        [c](unsigned threads, std::uint64_t seed, const BenchConfig&) {
+          return std::make_unique<MultiQueue<K, V>>(threads, c, seed);
+        }));
+    // The MultiQueue's rank error is O(cP) only in expectation — soft
+    // bound, self-reported by the queue (queue_traits.hpp
+    // RelaxationSelfReporting), shown by the live estimator for context,
+    // never a violation.
+    registry.back().rank_bound = [c](unsigned threads) {
+      return MultiQueue<K, V>(1, c).soft_rank_bound(threads);
+    };
+    registry.back().rank_bound_hard = false;
+  }
 
-  for (const std::uint64_t k : {128ULL, 256ULL, 4096ULL}) {
+  // The paper roster runs k = 128/256/4096; 16 and 1024 complete the A1
+  // relaxation sweep.
+  for (const std::uint64_t k : {16ULL, 128ULL, 256ULL, 1024ULL, 4096ULL}) {
     registry.push_back(make_spec(
         "klsm" + std::to_string(k),
         "k-LSM relaxed PQ, k=" + std::to_string(k),
-        /*strict=*/false, /*in_paper=*/true,
+        /*strict=*/false, /*in_paper=*/k != 16 && k != 1024,
         [k](unsigned threads, std::uint64_t seed, const BenchConfig&) {
           return std::make_unique<KLsmQueue<K, V>>(threads, k, seed);
         }));
@@ -229,47 +224,39 @@ std::vector<QueueSpec> build_registry() {
   };
 
   // Engineered MultiQueues (Williams & Sanders, arXiv:2504.11652): the
-  // post-paper generation. All three trade rank error for locality, so the
-  // armed bound widens with the configured stickiness/buffers — read live
-  // from the queue's own soft_rank_bound at cell start, never hard.
-  registry.push_back(make_spec(
-      "mq-buf", "engineered MultiQueue: insertion+deletion buffers",
-      /*strict=*/false, /*in_paper=*/false,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<EngMultiQueue<K, V>>(
-            threads, eng_config(/*sticky=*/false, /*buffered=*/true), seed);
-      }));
-  registry.back().rank_bound = [](unsigned threads) {
-    return EngMultiQueue<K, V>::soft_rank_bound(
-        eng_config(/*sticky=*/false, /*buffered=*/true), threads);
+  // post-paper generation, c=4 throughout. mq-eng is the default point
+  // (stickiness s=8, insertion/deletion buffers b=16); mq-eng-sN and
+  // mq-eng-bN are the X8 ablation's sweep around it (s=1 is buffers only,
+  // b=0 sticky rounds only). Both knobs trade rank error for locality, so
+  // each armed bound is the queue's own widened soft_rank_bound, never
+  // hard.
+  const auto add_eng = [&registry](std::string name, std::string description,
+                                   unsigned stickiness, unsigned buffer) {
+    MqEngConfig config;
+    config.stickiness = stickiness;
+    config.ins_buffer = buffer;
+    config.del_buffer = buffer;
+    registry.push_back(make_spec(
+        std::move(name), std::move(description),
+        /*strict=*/false, /*in_paper=*/false,
+        [config](unsigned threads, std::uint64_t seed, const BenchConfig&) {
+          return std::make_unique<EngMultiQueue<K, V>>(threads, config, seed);
+        }));
+    registry.back().rank_bound = [config](unsigned threads) {
+      return EngMultiQueue<K, V>::soft_rank_bound(config, threads);
+    };
+    registry.back().rank_bound_hard = false;
   };
-  registry.back().rank_bound_hard = false;
-
-  registry.push_back(make_spec(
-      "mq-sticky", "engineered MultiQueue: sticky rounds (s ops per draw)",
-      /*strict=*/false, /*in_paper=*/false,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<EngMultiQueue<K, V>>(
-            threads, eng_config(/*sticky=*/true, /*buffered=*/false), seed);
-      }));
-  registry.back().rank_bound = [](unsigned threads) {
-    return EngMultiQueue<K, V>::soft_rank_bound(
-        eng_config(/*sticky=*/true, /*buffered=*/false), threads);
-  };
-  registry.back().rank_bound_hard = false;
-
-  registry.push_back(make_spec(
-      "mq-eng", "engineered MultiQueue: buffers + sticky rounds",
-      /*strict=*/false, /*in_paper=*/false,
-      [](unsigned threads, std::uint64_t seed, const BenchConfig&) {
-        return std::make_unique<EngMultiQueue<K, V>>(
-            threads, eng_config(/*sticky=*/true, /*buffered=*/true), seed);
-      }));
-  registry.back().rank_bound = [](unsigned threads) {
-    return EngMultiQueue<K, V>::soft_rank_bound(
-        eng_config(/*sticky=*/true, /*buffered=*/true), threads);
-  };
-  registry.back().rank_bound_hard = false;
+  add_eng("mq-eng", "engineered MultiQueue: buffers + sticky rounds", 8, 16);
+  for (const unsigned s : {1u, 4u, 16u, 64u}) {
+    add_eng("mq-eng-s" + std::to_string(s),
+            "engineered MultiQueue, s=" + std::to_string(s) + ", b=16", s,
+            16);
+  }
+  for (const unsigned b : {0u, 4u, 64u}) {
+    add_eng("mq-eng-b" + std::to_string(b),
+            "engineered MultiQueue, s=8, b=" + std::to_string(b), 8, b);
+  }
 
   registry.push_back(make_spec(
       "slotan", "Shavit-Lotan-style skiplist PQ, eager physical delete",
@@ -303,12 +290,162 @@ std::vector<QueueSpec> build_registry() {
   return registry;
 }
 
-}  // namespace
+// The preset table: one entry per reproduced artifact (DESIGN.md §3).
+std::vector<PresetSpec> build_presets() {
+  using workloads::ArrivalConfig;
+  using workloads::KeyConfig;
+  using workloads::Workload;
+  constexpr PanelMode kTput = PanelMode::kThroughput;
+  constexpr PanelMode kQual = PanelMode::kQuality;
+  const auto panel = [](std::string label, PanelMode mode, Workload workload,
+                        KeyConfig keys) {
+    PresetPanel p;
+    p.label = std::move(label);
+    p.mode = mode;
+    p.shape.workload = workload;
+    p.shape.keys = keys;
+    return p;
+  };
 
-MqTuning& mq_tuning() {
-  static MqTuning tuning;
-  return tuning;
+  // Figure 4's eight mars configurations (panels a-h); Table 2 measures
+  // rank error over the same grid.
+  const struct {
+    char panel;
+    Workload workload;
+    KeyConfig keys;
+  } matrix[] = {
+      {'a', Workload::kUniform, KeyConfig::uniform(32)},
+      {'b', Workload::kUniform, KeyConfig::ascending()},
+      {'c', Workload::kUniform, KeyConfig::descending()},
+      {'d', Workload::kSplit, KeyConfig::uniform(32)},
+      {'e', Workload::kSplit, KeyConfig::ascending()},
+      {'f', Workload::kSplit, KeyConfig::descending()},
+      {'g', Workload::kUniform, KeyConfig::uniform(8)},
+      {'h', Workload::kUniform, KeyConfig::uniform(16)},
+  };
+  const auto grid = [&](const std::string& prefix, PanelMode mode) {
+    std::vector<PresetPanel> panels;
+    for (const auto& cell : matrix) {
+      panels.push_back(
+          panel(prefix + cell.panel, mode, cell.workload, cell.keys));
+    }
+    return panels;
+  };
+  // Figure 8 / Table 5 panels a-c: the alternating workload.
+  const auto alternating = [&](const std::string& prefix, PanelMode mode) {
+    std::vector<PresetPanel> panels;
+    char id = 'a';
+    for (const KeyConfig& keys : {KeyConfig::uniform(32),
+                                  KeyConfig::ascending(),
+                                  KeyConfig::descending()}) {
+      panels.push_back(
+          panel(prefix + id++, mode, Workload::kAlternating, keys));
+    }
+    return panels;
+  };
+  // The ablations pair a throughput and a rank-error table over one roster.
+  const auto tradeoff = [&](const std::string& label) {
+    return std::vector<PresetPanel>{
+        panel(label, kTput, Workload::kUniform, KeyConfig::uniform(32)),
+        panel(label, kQual, Workload::kUniform, KeyConfig::uniform(32))};
+  };
+
+  // X1: three operation mixes. Deletion-leaning is 40% inserts, not 10%: a
+  // time-boxed run at 10% drains the prefill and then measures cheap
+  // empty-queue polls (the pure deletion phase is --mode=sort).
+  std::vector<PresetPanel> appendix;
+  for (const auto& [label, fraction] :
+       {std::pair{"Appendix D — mixed (50% ins)", 0.5},
+        std::pair{"Appendix D — deletion-leaning (40% ins)", 0.4},
+        std::pair{"Appendix D — insertion-heavy (90% ins)", 0.9}}) {
+    appendix.push_back(
+        panel(label, kTput, Workload::kUniform, KeyConfig::uniform(32)));
+    appendix.back().shape.insert_fraction = fraction;
+  }
+
+  // X9: throughput and rank error per key distribution, then the zipf grid
+  // interleaved, under MMPP bursts (ON 200k/s ~5 ms, OFF 20k/s ~15 ms per
+  // thread), and an ingest-heavy producer/consumer split.
+  std::vector<PresetPanel> skew;
+  for (const KeyConfig& keys :
+       {KeyConfig::uniform(32), KeyConfig::zipf(1.1),
+        KeyConfig::hotspot(0.9, 0.1), KeyConfig::dijkstra(1, 100)}) {
+    skew.push_back(panel("X9 skew", kTput, Workload::kUniform, keys));
+    skew.push_back(panel("X9 skew", kQual, Workload::kUniform, keys));
+  }
+  skew.push_back(panel("X9 layout", PanelMode::kInterleaved,
+                       Workload::kUniform, KeyConfig::zipf(1.1)));
+  skew.push_back(
+      panel("X9 burst", kTput, Workload::kUniform, KeyConfig::zipf(1.1)));
+  skew.back().shape.arrivals =
+      ArrivalConfig::mmpp(200'000, 20'000, 0.005, 0.015);
+  skew.push_back(panel("X9 pcsplit", kTput, Workload::kPcSplit,
+                       KeyConfig::hotspot(0.9, 0.1)));
+  skew.back().shape.producer_fraction = 0.75;
+
+  return {
+      {"fig1",
+       "Fig. 1 / Fig. 4a (mars): uniform workload, uniform 32-bit keys", "",
+       {panel("Fig. 1", kTput, Workload::kUniform,
+              KeyConfig::uniform(32))}},
+      {"fig2", "Fig. 2 / Fig. 4e (mars): split workload, ascending keys", "",
+       {panel("Fig. 2", kTput, Workload::kSplit, KeyConfig::ascending())}},
+      {"fig3",
+       "Fig. 3 / Fig. 4g (mars): uniform workload, uniform 8-bit keys", "",
+       {panel("Fig. 3", kTput, Workload::kUniform, KeyConfig::uniform(8))}},
+      {"fig4",
+       "Fig. 4a-h (mars); Figs. 5-7 (saturn/ceres/pluto) with their "
+       "--threads ladders",
+       "", grid("Fig. 4", kTput)},
+      {"fig8",
+       "Fig. 8a-c (mars): alternating workload; Figs. 8d-f / 9 with other "
+       "--threads ladders",
+       "", alternating("Fig. 8", kTput)},
+      {"table1",
+       "Table 1 / Table 2a (mars): rank error, uniform workload, uniform "
+       "32-bit keys",
+       "",
+       {panel("Table 1", kQual, Workload::kUniform, KeyConfig::uniform(32))}},
+      {"table2",
+       "Table 2a-h (mars); Tables 3-4 (saturn/ceres) with their --threads "
+       "ladders",
+       "", grid("Table 2", kQual)},
+      {"table5",
+       "Table 5a-c (mars): rank error, alternating workload; 5d-i with "
+       "other --threads ladders",
+       "", alternating("Table 5", kQual)},
+      {"ablation-klsm-k",
+       "A1: k-LSM relaxation sweep (paper §3: k=16 mimics linden)",
+       "linden,klsm16,klsm128,klsm256,klsm1024,klsm4096",
+       tradeoff("Ablation A1")},
+      {"ablation-mq-c",
+       "A2: MultiQueue c sweep + backing heap (paper fixes c=4, binary heap)",
+       "mq-c1,mq-c2,mq,mq-c8,mq-pairing", tradeoff("Ablation A2")},
+      {"ablation-mq-eng",
+       "X8: engineered MultiQueue stickiness s and buffer b sweeps "
+       "(arXiv:2504.11652), classic mq as reference",
+       "mq-eng-s1,mq-eng-s4,mq-eng-s16,mq-eng-s64,mq-eng-b0,mq-eng-b4,"
+       "mq-eng-b64,mq-eng,mq",
+       tradeoff("Ablation X8")},
+      {"ablation-klsm-components",
+       "A3: DLSM-only vs SLSM-only vs k-LSM (paper §G load-shift explanation)",
+       "dlsm,slsm256,klsm256",
+       {panel("A3 DLSM-friendly", kTput, Workload::kUniform,
+              KeyConfig::uniform(32)),
+        panel("A3 SLSM-bound", kTput, Workload::kSplit,
+              KeyConfig::ascending())}},
+      {"appendix",
+       "X1: appendix D claims, hunt/slotan/sundell/mound/cbpq vs "
+       "linden/glock",
+       "glock,linden,slotan,sundell,hunt,mound,cbpq", std::move(appendix)},
+      {"skew",
+       "X9: skewed/bursty adversarial workloads + anti-artifact hygiene",
+       "glock,linden,spray,mq,klsm128,klsm256,klsm4096,mq-eng",
+       std::move(skew)},
+  };
 }
+
+}  // namespace
 
 const std::vector<QueueSpec>& queue_registry() {
   static const std::vector<QueueSpec> registry = build_registry();
@@ -333,6 +470,18 @@ const BenchModeSpec* find_bench_mode(std::string_view name) {
   return nullptr;
 }
 
+const std::vector<PresetSpec>& preset_registry() {
+  static const std::vector<PresetSpec> presets = build_presets();
+  return presets;
+}
+
+const PresetSpec* find_preset(std::string_view name) {
+  for (const PresetSpec& preset : preset_registry()) {
+    if (preset.name == name) return &preset;
+  }
+  return nullptr;
+}
+
 const QueueSpec* find_queue(std::string_view name) {
   for (const QueueSpec& spec : queue_registry()) {
     if (spec.name == name) return &spec;
@@ -348,20 +497,29 @@ std::vector<const QueueSpec*> paper_roster() {
   return roster;
 }
 
-std::vector<const QueueSpec*> resolve_roster(std::string_view names) {
-  if (names.empty()) return paper_roster();
-  std::vector<const QueueSpec*> roster;
+bool resolve_roster(std::string_view names,
+                    std::vector<const QueueSpec*>& roster, std::string& bad) {
+  if (names.empty()) {
+    roster = paper_roster();
+    return true;
+  }
+  std::vector<const QueueSpec*> resolved;
   std::size_t start = 0;
-  while (start <= names.size()) {
-    std::size_t comma = names.find(',', start);
-    if (comma == std::string_view::npos) comma = names.size();
-    const std::string_view name = names.substr(start, comma - start);
-    if (!name.empty()) {
-      if (const QueueSpec* spec = find_queue(name)) roster.push_back(spec);
+  for (;;) {
+    const std::size_t comma = names.find(',', start);
+    const std::string_view name = names.substr(
+        start, comma == std::string_view::npos ? comma : comma - start);
+    const QueueSpec* spec = find_queue(name);
+    if (spec == nullptr) {
+      bad.assign(name);
+      return false;
     }
+    resolved.push_back(spec);
+    if (comma == std::string_view::npos) break;
     start = comma + 1;
   }
-  return roster;
+  roster = std::move(resolved);
+  return true;
 }
 
 }  // namespace cpq::bench

@@ -1,11 +1,13 @@
 // Queue registry: every benchmarkable queue under its paper name, bound to
 // type-erased throughput and quality runners (the template harness is
 // instantiated once per queue type in registry.cpp, so the hot loops stay
-// fully inlined — no virtual dispatch per operation).
+// fully inlined — no virtual dispatch per operation). Alongside it, the
+// benchmark-mode list and the preset table of cpq_bench_cli.
 //
 // Paper roster: glock, linden, spray, mq, klsm128, klsm256, klsm4096.
 // Extensions:   hunt (appendix D), dlsm, slsm256 (component ablation),
-//               mq-pairing (MultiQueue over pairing heaps).
+//               mq-pairing (MultiQueue over pairing heaps), the ablation
+//               sweep points (klsm16/1024, mq-cN, mq-eng-sN/-bN), …
 #pragma once
 
 #include <functional>
@@ -50,19 +52,6 @@ struct QueueSpec {
       service_bench;
 };
 
-// Runtime tuning for the engineered MultiQueue variants (mq-buf, mq-sticky,
-// mq-eng). Mutable process-wide singleton: cpq_bench_cli writes it from
-// --mq-c/--mq-sticky/--mq-buf before any cell runs; the registry factories
-// AND the rank-bound lambdas read it when each cell starts, so the soft
-// bound the RankEstimator arms always matches the queues actually built.
-// The paper-roster "mq" (and mq-pairing/mq-dary) stay pinned at c=4.
-struct MqTuning {
-  unsigned c = 4;          // local queues per thread
-  unsigned stickiness = 8; // sticky round length (mq-sticky, mq-eng)
-  unsigned buffer = 16;    // insertion/deletion buffer capacity (mq-buf, mq-eng)
-};
-MqTuning& mq_tuning();
-
 // One benchmark mode of cpq_bench_cli (--mode=<name>), described for
 // --list and validated strictly before any measurement starts.
 struct BenchModeSpec {
@@ -86,7 +75,37 @@ const QueueSpec* find_queue(std::string_view name);
 std::vector<const QueueSpec*> paper_roster();
 
 // Resolve a comma-separated list of names ("klsm256,mq,linden"); empty input
-// yields the paper roster.
-std::vector<const QueueSpec*> resolve_roster(std::string_view names);
+// yields the paper roster. On an unknown or empty name returns false, leaves
+// `roster` untouched, and sets `bad` to the offending entry.
+bool resolve_roster(std::string_view names,
+                    std::vector<const QueueSpec*>& roster, std::string& bad);
+
+// One table of a preset. kInterleaved is the anti-artifact throughput pass
+// (arXiv:2208.08469): every queue in one process, shuffled order per
+// repetition, shuffled prefill and a perturbed heap layout.
+enum class PanelMode { kThroughput, kQuality, kInterleaved };
+
+struct PresetPanel {
+  std::string label;  // table title and JSON experiment prefix
+  PanelMode mode = PanelMode::kThroughput;
+  // Workload, keys, insert fraction, arrivals, producer fraction; the run's
+  // options go on top (base_config).
+  BenchConfig shape;
+};
+
+// A named, fixed configuration of cpq_bench_cli (--preset=<name>) that
+// reproduces one paper figure/table or one experiment of EXPERIMENTS.md.
+struct PresetSpec {
+  std::string name;
+  std::string reproduces;  // the artifact, for --list and the run header
+  std::string roster;      // default --queues ("" = the paper roster)
+  std::vector<PresetPanel> panels;
+};
+
+// All presets, in DESIGN.md §3 order.
+const std::vector<PresetSpec>& preset_registry();
+
+// nullptr when unknown.
+const PresetSpec* find_preset(std::string_view name);
 
 }  // namespace cpq::bench

@@ -1,7 +1,6 @@
 #include "bench_framework/table.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 
 namespace cpq::bench {
@@ -57,18 +56,6 @@ void Table::print() const {
       std::printf("%*s", static_cast<int>(widths[c] + 2), cell.c_str());
     }
     std::printf("\n");
-  }
-
-  if (const char* csv = std::getenv("CPQ_CSV"); csv && csv[0] == '1') {
-    std::printf("csv,title,%s\n", title_.c_str());
-    std::printf("csv,%s", row_header_.c_str());
-    for (const auto& column : columns_) std::printf(",%s", column.c_str());
-    std::printf("\n");
-    for (const auto& [label, cells] : rows_) {
-      std::printf("csv,%s", label.c_str());
-      for (const auto& cell : cells) std::printf(",%s", cell.c_str());
-      std::printf("\n");
-    }
   }
   std::fflush(stdout);
 }

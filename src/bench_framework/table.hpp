@@ -1,9 +1,8 @@
-// ASCII table / CSV output for the bench binaries.
+// ASCII table output for the bench driver.
 //
-// Every bench prints the same layout the paper's figures encode: one row per
-// thread count, one column per queue, cell = mean ± 95% CI. Setting the
-// environment variable CPQ_CSV=1 additionally emits machine-readable CSV
-// lines (prefix "csv,") for plotting.
+// Every table uses the layout the paper's figures encode: one row per
+// thread count, one column per queue, cell = mean ± 95% CI. Machine-readable
+// results go through the JSON-lines sink (json_out.hpp), not the tables.
 #pragma once
 
 #include <string>
@@ -21,7 +20,7 @@ class Table {
   // Add a row; `cells` must match the column count. Cells are preformatted.
   void add_row(const std::string& row_label, std::vector<std::string> cells);
 
-  // Render to stdout (and CSV if CPQ_CSV is set).
+  // Render to stdout.
   void print() const;
 
   static std::string format_mean_ci(double mean, double ci);

@@ -5,7 +5,7 @@
 // {4, 8} the strongest sequential priority queues in practice: the wider
 // node trades comparisons for a shallower tree and much better cache
 // behaviour on the sift-down path. Provided as an alternative MultiQueue
-// backing store (bench_ablation_multiqueue_c) and a bench_components
+// backing store (mq-dary in the registry) and a bench_components
 // subject.
 #pragma once
 

@@ -3,7 +3,7 @@
 // The paper's wish list for a parameterized benchmark cites Larkin, Sen &
 // Tarjan's back-to-basics study, where the pairing heap is the strongest
 // pointer-based sequential contender. We provide it as an alternative
-// backing queue for the MultiQueue (bench_ablation_multiqueue_c compares
+// backing queue for the MultiQueue (the ablation-mq-c preset compares
 // binary-heap-backed vs pairing-heap-backed MultiQueues) and as a sequential
 // baseline in bench_components.
 //

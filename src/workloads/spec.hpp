@@ -1,4 +1,4 @@
-// Textual workload specs shared by cpq_bench_cli, bench_skew and tests.
+// Textual workload specs shared by cpq_bench_cli and the tests.
 //
 //   key specs:      uniform32 | uniform16 | uniform8 | ascending |
 //                   descending | hold | zipf:THETA[,BITS] |

@@ -6,18 +6,17 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_framework/harness.hpp"
 #include "bench_framework/json_out.hpp"
-#include "bench_framework/keygen.hpp"
 #include "bench_framework/latency.hpp"
 #include "bench_framework/options.hpp"
 #include "bench_framework/stats.hpp"
 #include "bench_framework/table.hpp"
-#include "bench_framework/workload.hpp"
+#include "workloads/keyspace.hpp"
+#include "workloads/shape.hpp"
 
 namespace cpq::bench {
 namespace {
@@ -50,12 +49,12 @@ TEST(JsonOut, RoundTripsHostileStringsAndExtremeDoubles) {
 TEST(JsonOut, ParserToleratesWhitespaceAndKeyOrder) {
   JsonRecord parsed;
   ASSERT_TRUE(parse_json_record(
-      "  { \"reps\" : 3 , \"mean\" : 1.5 , \"ci95\" : 0.25 ,\n"
-      "    \"metric\" : \"throughput_mops\" , \"queue\" : \"mq\" ,\n"
-      "    \"threads\" : 2 , \"experiment\" : \"fig1\" }  ",
+      "  { \"status\" : \"ok\" , \"reps\" : 3 , \"mean\" : 1.5 ,\n"
+      "    \"ci95\" : 0.25 , \"metric\" : \"throughput_mops\" ,\n"
+      "    \"queue\" : \"mq\" , \"threads\" : 2 ,\n"
+      "    \"experiment\" : \"fig1\" , \"schema_version\" : 4 }  ",
       parsed));
-  JsonRecord expected{"fig1", "mq", "throughput_mops", 2, 1.5, 0.25, 3};
-  expected.schema_version = 1;  // no schema_version key = v1 file
+  const JsonRecord expected{"fig1", "mq", "throughput_mops", 2, 1.5, 0.25, 3};
   EXPECT_EQ(parsed, expected);
 }
 
@@ -67,30 +66,23 @@ TEST(JsonOut, SchemaVersionRoundTripsAndValidates) {
   JsonRecord parsed;
   ASSERT_TRUE(parse_json_record(line, parsed));
   EXPECT_EQ(parsed.schema_version, kJsonSchemaVersion);
-  // Older versions are accepted: 1 explicitly as well as implicitly, 2 (the
-  // pre-workloads schema) and 3 (pre-telemetry) explicitly.
-  ASSERT_TRUE(parse_json_record(
-      R"({"schema_version":1,"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1})",
-      parsed));
-  EXPECT_EQ(parsed.schema_version, 1u);
-  ASSERT_TRUE(parse_json_record(
-      R"({"schema_version":2,"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1})",
-      parsed));
-  EXPECT_EQ(parsed.schema_version, 2u);
-  ASSERT_TRUE(parse_json_record(
-      R"({"schema_version":3,"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1})",
-      parsed));
+  // v3 (pre-telemetry) lines are valid v4 lines and still parse.
+  const std::string cell =
+      R"("experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1,"status":"ok")";
+  ASSERT_TRUE(parse_json_record(R"({"schema_version":3,)" + cell + "}",
+                                parsed));
   EXPECT_EQ(parsed.schema_version, 3u);
-  // Future versions and nonsense are schema drift, as are duplicates.
+  // The key is required; v1/v2, future versions, nonsense and duplicates
+  // are schema drift.
+  EXPECT_FALSE(parse_json_record("{" + cell + "}", parsed));
+  for (const char* version : {"0", "1", "2", "5"}) {
+    EXPECT_FALSE(parse_json_record(
+        std::string(R"({"schema_version":)") + version + "," + cell + "}",
+        parsed))
+        << version;
+  }
   EXPECT_FALSE(parse_json_record(
-      R"({"schema_version":5,"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1})",
-      parsed));
-  EXPECT_FALSE(parse_json_record(
-      R"({"schema_version":0,"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1})",
-      parsed));
-  EXPECT_FALSE(parse_json_record(
-      R"({"schema_version":2,"schema_version":2,"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1})",
-      parsed));
+      R"({"schema_version":4,"schema_version":4,)" + cell + "}", parsed));
 }
 
 TEST(JsonOut, NullMeanRoundTripsForUnavailableMetrics) {
@@ -104,7 +96,7 @@ TEST(JsonOut, NullMeanRoundTripsForUnavailableMetrics) {
   EXPECT_EQ(parsed, record);
   // null is only valid for mean; elsewhere it is malformed input.
   EXPECT_FALSE(parse_json_record(
-      R"({"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":null,"reps":1})",
+      R"({"schema_version":4,"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":null,"reps":1,"status":"ok"})",
       parsed));
 }
 
@@ -115,16 +107,14 @@ TEST(JsonOut, ParserRejectsSchemaDrift) {
   ASSERT_TRUE(parse_json_record(good, parsed));
   // Unknown key.
   EXPECT_FALSE(parse_json_record(
-      R"({"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1,"extra":7})",
-      parsed));
+      good.substr(0, good.size() - 1) + R"(,"extra":7})", parsed));
   // Missing key.
   EXPECT_FALSE(parse_json_record(
-      R"({"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0})",
+      R"({"schema_version":4,"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"status":"ok"})",
       parsed));
   // Duplicated key.
   EXPECT_FALSE(parse_json_record(
-      R"({"experiment":"e","experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1})",
-      parsed));
+      good.substr(0, good.size() - 1) + R"(,"experiment":"e"})", parsed));
   // Trailing garbage, truncation, and non-objects.
   EXPECT_FALSE(parse_json_record(good + "x", parsed));
   EXPECT_FALSE(parse_json_record(good.substr(0, good.size() - 5), parsed));
@@ -172,18 +162,13 @@ TEST(JsonOut, StatusFieldRoundTripsAndValidates) {
   ASSERT_TRUE(parse_json_record(to_json_line(record), parsed));
   EXPECT_EQ(parsed.status, "failed");
   EXPECT_EQ(parsed, record);
-  // Pre-status files omit the key; it reads back as "ok".
-  ASSERT_TRUE(parse_json_record(
-      R"({"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1})",
-      parsed));
-  EXPECT_EQ(parsed.status, "ok");
-  // Unknown values and duplicates are schema drift.
-  EXPECT_FALSE(parse_json_record(
-      R"({"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1,"status":"maybe"})",
-      parsed));
-  EXPECT_FALSE(parse_json_record(
-      R"({"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1,"status":"ok","status":"ok"})",
-      parsed));
+  // The key is required; unknown values and duplicates are schema drift.
+  const std::string cell =
+      R"({"schema_version":4,"experiment":"e","threads":1,"queue":"q","metric":"m","mean":1,"ci95":0,"reps":1)";
+  EXPECT_FALSE(parse_json_record(cell + "}", parsed));
+  EXPECT_FALSE(parse_json_record(cell + R"(,"status":"maybe"})", parsed));
+  EXPECT_FALSE(
+      parse_json_record(cell + R"(,"status":"ok","status":"ok"})", parsed));
 }
 
 // ---- latency percentiles -------------------------------------------------
@@ -239,14 +224,14 @@ TEST(Percentiles, HistogramOverloadMatchesVectorWithinBucketError) {
 
 TEST(KeyGen, UniformStaysInRange) {
   for (const unsigned bits : {8u, 16u, 32u}) {
-    KeyGenerator gen(KeyConfig::uniform(bits), 1, 0);
+    workloads::KeyGenerator gen(workloads::KeyConfig::uniform(bits), 1, 0);
     const std::uint64_t limit = std::uint64_t{1} << bits;
     for (int i = 0; i < 10000; ++i) EXPECT_LT(gen.next(), limit);
   }
 }
 
 TEST(KeyGen, Uniform8BitHitsManyDuplicates) {
-  KeyGenerator gen(KeyConfig::uniform(8), 1, 0);
+  workloads::KeyGenerator gen(workloads::KeyConfig::uniform(8), 1, 0);
   std::vector<int> buckets(256, 0);
   for (int i = 0; i < 25600; ++i) ++buckets[gen.next()];
   int covered = 0;
@@ -255,7 +240,7 @@ TEST(KeyGen, Uniform8BitHitsManyDuplicates) {
 }
 
 TEST(KeyGen, AscendingTrendsUpward) {
-  KeyGenerator gen(KeyConfig::ascending(10), 1, 0);
+  workloads::KeyGenerator gen(workloads::KeyConfig::ascending(10), 1, 0);
   const int n = 20000;
   std::uint64_t early = 0, late = 0;
   for (int i = 0; i < n; ++i) {
@@ -267,7 +252,7 @@ TEST(KeyGen, AscendingTrendsUpward) {
 }
 
 TEST(KeyGen, DescendingTrendsDownward) {
-  KeyGenerator gen(KeyConfig::descending(10), 1, 0);
+  workloads::KeyGenerator gen(workloads::KeyConfig::descending(10), 1, 0);
   const int n = 20000;
   std::uint64_t early = 0, late = 0;
   for (int i = 0; i < n; ++i) {
@@ -277,14 +262,14 @@ TEST(KeyGen, DescendingTrendsDownward) {
   }
   EXPECT_LT(late, early);
   // Never underflows.
-  KeyGenerator deep(KeyConfig::descending(4), 1, 0);
+  workloads::KeyGenerator deep(workloads::KeyConfig::descending(4), 1, 0);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_LE(deep.next(), KeyGenerator::kDescendingStart + 16);
+    EXPECT_LE(deep.next(), workloads::KeyGenerator::kDescendingStart + 16);
   }
 }
 
 TEST(KeyGen, HoldFollowsLastDeleted) {
-  KeyGenerator gen(KeyConfig::hold(4), 1, 0);
+  workloads::KeyGenerator gen(workloads::KeyConfig::hold(4), 1, 0);
   gen.observe_deleted(1000);
   for (int i = 0; i < 100; ++i) {
     const std::uint64_t key = gen.next();
@@ -296,9 +281,9 @@ TEST(KeyGen, HoldFollowsLastDeleted) {
 }
 
 TEST(KeyGen, DeterministicPerThreadStream) {
-  KeyGenerator a(KeyConfig::uniform(32), 42, 3);
-  KeyGenerator b(KeyConfig::uniform(32), 42, 3);
-  KeyGenerator c(KeyConfig::uniform(32), 42, 4);
+  workloads::KeyGenerator a(workloads::KeyConfig::uniform(32), 42, 3);
+  workloads::KeyGenerator b(workloads::KeyConfig::uniform(32), 42, 3);
+  workloads::KeyGenerator c(workloads::KeyConfig::uniform(32), 42, 4);
   bool differs = false;
   for (int i = 0; i < 100; ++i) {
     const auto ka = a.next();
@@ -312,10 +297,10 @@ TEST(KeyGen, DescendingClampsInsteadOfUnderflowing) {
   // skip() fast-forwards the operation counter to just below the clamp
   // point; without the `shift < kDescendingStart` guard the next draws
   // would wrap around 2^64 and emit near-maximal keys.
-  KeyGenerator gen(KeyConfig::descending(4), 1, 0);
-  gen.skip(KeyGenerator::kDescendingStart - 2);
+  workloads::KeyGenerator gen(workloads::KeyConfig::descending(4), 1, 0);
+  gen.skip(workloads::KeyGenerator::kDescendingStart - 2);
   for (int i = 0; i < 100; ++i) {
-    EXPECT_LE(gen.next(), KeyGenerator::kDescendingStart + 16);
+    EXPECT_LE(gen.next(), workloads::KeyGenerator::kDescendingStart + 16);
   }
   // Deep past the clamp: only the random base component remains.
   gen.skip(1'000'000);
@@ -323,32 +308,32 @@ TEST(KeyGen, DescendingClampsInsteadOfUnderflowing) {
 }
 
 TEST(KeyGen, HoldStartsAtZeroUntilFirstDeletion) {
-  KeyGenerator gen(KeyConfig::hold(4), 1, 0);
+  workloads::KeyGenerator gen(workloads::KeyConfig::hold(4), 1, 0);
   for (int i = 0; i < 100; ++i) EXPECT_LT(gen.next(), 16u);
   gen.observe_deleted(100);
   EXPECT_GE(gen.next(), 100u);
 }
 
 TEST(KeyGen, DifferentSeedsGiveIndependentStreams) {
-  KeyGenerator a(KeyConfig::uniform(32), 42, 3);
-  KeyGenerator b(KeyConfig::uniform(32), 43, 3);
+  workloads::KeyGenerator a(workloads::KeyConfig::uniform(32), 42, 3);
+  workloads::KeyGenerator b(workloads::KeyConfig::uniform(32), 43, 3);
   bool differs = false;
   for (int i = 0; i < 100; ++i) differs |= (a.next() != b.next());
   EXPECT_TRUE(differs);
 }
 
 TEST(KeyGen, ConfigNames) {
-  EXPECT_EQ(KeyConfig::uniform(32).name(), "uniform32");
-  EXPECT_EQ(KeyConfig::uniform(8).name(), "uniform8");
-  EXPECT_EQ(KeyConfig::ascending().name(), "ascending");
-  EXPECT_EQ(KeyConfig::descending().name(), "descending");
-  EXPECT_EQ(KeyConfig::hold().name(), "hold");
+  EXPECT_EQ(workloads::KeyConfig::uniform(32).name(), "uniform32");
+  EXPECT_EQ(workloads::KeyConfig::uniform(8).name(), "uniform8");
+  EXPECT_EQ(workloads::KeyConfig::ascending().name(), "ascending");
+  EXPECT_EQ(workloads::KeyConfig::descending().name(), "descending");
+  EXPECT_EQ(workloads::KeyConfig::hold().name(), "hold");
 }
 
 // ---- workload choosers -------------------------------------------------
 
 TEST(Workload, UniformIsRoughlyBalanced) {
-  OpChooser chooser(Workload::kUniform, 0, 4, 1);
+  workloads::OpChooser chooser(workloads::Workload::kUniform, 0, 4, 1);
   int inserts = 0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) inserts += chooser.next_is_insert();
@@ -357,7 +342,7 @@ TEST(Workload, UniformIsRoughlyBalanced) {
 }
 
 TEST(Workload, InsertFractionIsHonoured) {
-  OpChooser chooser(Workload::kUniform, 0, 4, 1, 0.8);
+  workloads::OpChooser chooser(workloads::Workload::kUniform, 0, 4, 1, 0.8);
   int inserts = 0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) inserts += chooser.next_is_insert();
@@ -368,20 +353,20 @@ TEST(Workload, InsertFractionIsHonoured) {
 TEST(Workload, SplitAssignsHalves) {
   // 4 threads: 0,1 insert; 2,3 delete.
   for (unsigned tid = 0; tid < 4; ++tid) {
-    OpChooser chooser(Workload::kSplit, tid, 4, 1);
+    workloads::OpChooser chooser(workloads::Workload::kSplit, tid, 4, 1);
     for (int i = 0; i < 10; ++i) {
       EXPECT_EQ(chooser.next_is_insert(), tid < 2);
     }
   }
   // Odd thread counts: 3 threads -> 2 inserters.
-  OpChooser chooser(Workload::kSplit, 1, 3, 1);
+  workloads::OpChooser chooser(workloads::Workload::kSplit, 1, 3, 1);
   EXPECT_TRUE(chooser.next_is_insert());
-  OpChooser deleter(Workload::kSplit, 2, 3, 1);
+  workloads::OpChooser deleter(workloads::Workload::kSplit, 2, 3, 1);
   EXPECT_FALSE(deleter.next_is_insert());
 }
 
 TEST(Workload, AlternatingStrictlyAlternates) {
-  OpChooser chooser(Workload::kAlternating, 0, 1, 1);
+  workloads::OpChooser chooser(workloads::Workload::kAlternating, 0, 1, 1);
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(chooser.next_is_insert());
     EXPECT_FALSE(chooser.next_is_insert());
@@ -389,13 +374,14 @@ TEST(Workload, AlternatingStrictlyAlternates) {
 }
 
 TEST(Workload, BatchAlternatesInBlocks) {
-  OpChooser chooser(Workload::kBatch, 0, 1, 1, 0.5, /*batch_size=*/4);
+  workloads::OpChooser chooser(workloads::Workload::kBatch, 0, 1, 1, 0.5,
+                               /*batch_size=*/4);
   for (int round = 0; round < 20; ++round) {
     for (int i = 0; i < 4; ++i) EXPECT_TRUE(chooser.next_is_insert());
     for (int i = 0; i < 4; ++i) EXPECT_FALSE(chooser.next_is_insert());
   }
   // Batch size 1 degenerates to strict alternation; size 0 is repaired to 1.
-  OpChooser degenerate(Workload::kBatch, 0, 1, 1, 0.5, 0);
+  workloads::OpChooser degenerate(workloads::Workload::kBatch, 0, 1, 1, 0.5, 0);
   EXPECT_TRUE(degenerate.next_is_insert());
   EXPECT_FALSE(degenerate.next_is_insert());
   EXPECT_TRUE(degenerate.next_is_insert());
@@ -501,25 +487,47 @@ TEST(Table, PrintSmoke) {
   table.print();  // must not crash; output inspected by humans
 }
 
-TEST(Options, EnvParsing) {
-  setenv("CPQ_THREADS", "1, 2,8", 1);
-  setenv("CPQ_BENCH_MS", "25", 1);
-  setenv("CPQ_BENCH_REPS", "5", 1);
-  setenv("CPQ_PREFILL", "1234", 1);
-  setenv("CPQ_SEED", "77", 1);
-  const Options options = options_from_env();
-  EXPECT_EQ(options.thread_ladder, (std::vector<unsigned>{1, 2, 8}));
-  EXPECT_DOUBLE_EQ(options.duration_s, 0.025);
-  EXPECT_EQ(options.repetitions, 5u);
-  EXPECT_EQ(options.prefill, 1234u);
-  EXPECT_EQ(options.seed, 77u);
-  unsetenv("CPQ_THREADS");
-  unsetenv("CPQ_BENCH_MS");
-  unsetenv("CPQ_BENCH_REPS");
-  unsetenv("CPQ_PREFILL");
-  unsetenv("CPQ_SEED");
-  const Options defaults = options_from_env();
-  EXPECT_EQ(defaults.thread_ladder, (std::vector<unsigned>{1, 2, 4, 8}));
+TEST(Options, ThreadLadderIsStrict) {
+  EXPECT_EQ(Options{}.thread_ladder, (std::vector<unsigned>{1, 2, 4, 8}));
+  std::vector<unsigned> ladder = {7};
+  std::string bad;
+  ASSERT_TRUE(parse_thread_ladder("1,2,8", ladder, bad));
+  EXPECT_EQ(ladder, (std::vector<unsigned>{1, 2, 8}));
+  ASSERT_TRUE(parse_thread_ladder("1024", ladder, bad));
+  EXPECT_EQ(ladder, (std::vector<unsigned>{1024}));
+  // Every entry must be a plain integer 1..1024; the first offender is
+  // named and the ladder is left alone.
+  for (const auto& [text, offender] :
+       {std::pair{"2.5", "2.5"}, std::pair{"-1", "-1"}, std::pair{"0,1", "0"},
+        std::pair{"1, 2", " 2"}, std::pair{"1,,2", ""}, std::pair{"", ""},
+        std::pair{"4,1025", "1025"}, std::pair{"99999", "99999"},
+        std::pair{"2x", "2x"}}) {
+    ladder = {7};
+    bad = "unset";
+    EXPECT_FALSE(parse_thread_ladder(text, ladder, bad)) << text;
+    EXPECT_EQ(bad, offender) << text;
+    EXPECT_EQ(ladder, (std::vector<unsigned>{7})) << text;
+  }
+}
+
+TEST(Options, BaseConfigAppliesOptionsOverTheShape) {
+  Options options;
+  options.duration_s = 0.025;
+  options.repetitions = 5;
+  options.prefill = 1234;
+  options.quality_ops = 99;
+  options.seed = 77;
+  BenchConfig shape;
+  shape.workload = workloads::Workload::kSplit;
+  shape.insert_fraction = 0.9;
+  const BenchConfig cfg = base_config(options, shape);
+  EXPECT_EQ(cfg.workload, workloads::Workload::kSplit);
+  EXPECT_DOUBLE_EQ(cfg.insert_fraction, 0.9);
+  EXPECT_DOUBLE_EQ(cfg.duration_s, 0.025);
+  EXPECT_EQ(cfg.repetitions, 5u);
+  EXPECT_EQ(cfg.prefill, 1234u);
+  EXPECT_EQ(cfg.ops_per_thread, 99u);
+  EXPECT_EQ(cfg.seed, 77u);
 }
 
 }  // namespace

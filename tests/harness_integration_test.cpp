@@ -10,12 +10,15 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_framework/json_out.hpp"
 #include "bench_framework/registry.hpp"
+#include "queues/multiqueue.hpp"
 #include "queues/multiqueue_eng.hpp"
 
 namespace cpq::bench {
@@ -109,28 +112,60 @@ TEST(Registry, BenchModesAreRegisteredAndDescribed) {
 TEST(Registry, FindAndResolve) {
   EXPECT_NE(find_queue("mq"), nullptr);
   EXPECT_EQ(find_queue("nope"), nullptr);
-  const auto roster = resolve_roster("linden,klsm256,bogus");
+  std::vector<const QueueSpec*> roster;
+  std::string bad;
+  ASSERT_TRUE(resolve_roster("linden,klsm256", roster, bad));
   ASSERT_EQ(roster.size(), 2u);
   EXPECT_EQ(roster[0]->name, "linden");
   EXPECT_EQ(roster[1]->name, "klsm256");
-  EXPECT_EQ(resolve_roster("").size(), 7u);
+  ASSERT_TRUE(resolve_roster("", roster, bad));
+  EXPECT_EQ(roster.size(), 7u);
+  // Strict: an unknown or empty name fails, is named, and changes nothing.
+  for (const auto& [names, offender] :
+       {std::pair{"linden,klsm256,bogus", "bogus"},
+        std::pair{"glock,glokc", "glokc"}, std::pair{"glock,", ""},
+        std::pair{",glock", ""}}) {
+    EXPECT_FALSE(resolve_roster(names, roster, bad)) << names;
+    EXPECT_EQ(bad, offender) << names;
+    EXPECT_EQ(roster.size(), 7u) << names;
+  }
+}
+
+TEST(Registry, AblationSweepPointsArePlainEntries) {
+  // klsm16/klsm1024 and mq-c1/c2/c8 extend the paper's entries without
+  // joining the paper roster; each reports its own relaxation bound.
+  for (const unsigned k : {16u, 1024u}) {
+    const QueueSpec* spec = find_queue("klsm" + std::to_string(k));
+    ASSERT_NE(spec, nullptr) << k;
+    EXPECT_FALSE(spec->in_paper);
+    EXPECT_TRUE(spec->rank_bound_hard);
+    EXPECT_EQ(spec->rank_bound(4), 4.0 * k);
+  }
+  for (const unsigned c : {1u, 2u, 8u}) {
+    const QueueSpec* spec = find_queue("mq-c" + std::to_string(c));
+    ASSERT_NE(spec, nullptr) << c;
+    EXPECT_FALSE(spec->in_paper);
+    EXPECT_FALSE(spec->rank_bound_hard);
+    EXPECT_EQ(spec->rank_bound(4),
+              (MultiQueue<bench_key, bench_value>(1, c).soft_rank_bound(4)));
+  }
 }
 
 TEST(Registry, EngineeredVariantsSelfReportWidenedSoftBounds) {
   // The engineered MultiQueues are extensions (the paper roster stays at
   // seven) whose armed rank bound must come from the queue's own
-  // soft-bound formula under the current mq_tuning(), wider than classic
-  // mq's c*P, and never hard — soft bounds must not count violations.
+  // soft-bound formula for its (s, b) point, wider than classic mq's c*P,
+  // and never hard — soft bounds must not count violations.
   const QueueSpec* mq = find_queue("mq");
   ASSERT_NE(mq, nullptr);
-  const MqTuning& tuning = mq_tuning();
   const struct {
     const char* name;
-    bool sticky;
-    bool buffered;
-  } variants[] = {{"mq-buf", false, true},
-                  {"mq-sticky", true, false},
-                  {"mq-eng", true, true}};
+    unsigned stickiness;
+    unsigned buffer;
+  } variants[] = {{"mq-eng", 8, 16},    {"mq-eng-s1", 1, 16},
+                  {"mq-eng-s4", 4, 16}, {"mq-eng-s16", 16, 16},
+                  {"mq-eng-s64", 64, 16}, {"mq-eng-b0", 8, 0},
+                  {"mq-eng-b4", 8, 4},  {"mq-eng-b64", 8, 64}};
   for (const auto& variant : variants) {
     const QueueSpec* spec = find_queue(variant.name);
     ASSERT_NE(spec, nullptr) << variant.name;
@@ -139,10 +174,9 @@ TEST(Registry, EngineeredVariantsSelfReportWidenedSoftBounds) {
     EXPECT_FALSE(spec->rank_bound_hard) << variant.name;
     ASSERT_TRUE(spec->rank_bound) << variant.name;
     MqEngConfig cfg;
-    cfg.c = tuning.c;
-    cfg.stickiness = variant.sticky ? tuning.stickiness : 1;
-    cfg.ins_buffer = variant.buffered ? tuning.buffer : 0;
-    cfg.del_buffer = variant.buffered ? tuning.buffer : 0;
+    cfg.stickiness = variant.stickiness;
+    cfg.ins_buffer = variant.buffer;
+    cfg.del_buffer = variant.buffer;
     for (unsigned threads : {1u, 4u, 16u}) {
       EXPECT_EQ(spec->rank_bound(threads),
                 (EngMultiQueue<bench_key, bench_value>::soft_rank_bound(
@@ -169,12 +203,14 @@ TEST(Integration, ThroughputAcrossWorkloadsAndKeys) {
   cfg.duration_s = 0.01;
   const QueueSpec* klsm = find_queue("klsm128");
   ASSERT_NE(klsm, nullptr);
+  using workloads::KeyConfig;
+  using workloads::Workload;
   for (const Workload workload :
        {Workload::kUniform, Workload::kSplit, Workload::kAlternating}) {
     for (const KeyConfig keys :
          {KeyConfig::uniform(32), KeyConfig::uniform(8),
           KeyConfig::ascending(), KeyConfig::descending()}) {
-      SCOPED_TRACE(workload_name(workload) + "/" + keys.name());
+      SCOPED_TRACE(workloads::workload_name(workload) + "/" + keys.name());
       cfg.workload = workload;
       cfg.keys = keys;
       const ThroughputResult result = klsm->throughput(cfg);
@@ -283,8 +319,8 @@ TEST(Integration, SortPhasesRun) {
 
 TEST(Integration, SplitWorkloadRunsThroughRegistry) {
   BenchConfig cfg = tiny_config();
-  cfg.workload = Workload::kSplit;
-  cfg.keys = KeyConfig::ascending();
+  cfg.workload = workloads::Workload::kSplit;
+  cfg.keys = workloads::KeyConfig::ascending();
   for (const char* name : {"linden", "mq", "klsm256"}) {
     SCOPED_TRACE(name);
     const ThroughputResult result = find_queue(name)->throughput(cfg);
@@ -294,7 +330,7 @@ TEST(Integration, SplitWorkloadRunsThroughRegistry) {
 
 TEST(Integration, HoldModelKeysRunThroughRegistry) {
   BenchConfig cfg = tiny_config();
-  cfg.keys = KeyConfig::hold();
+  cfg.keys = workloads::KeyConfig::hold();
   const ThroughputResult result = find_queue("mq")->throughput(cfg);
   EXPECT_GT(result.mops.mean, 0.0);
 }
@@ -401,47 +437,164 @@ TEST(BenchCli, InvalidFlagsExitWithStatusTwo) {
   EXPECT_EQ(run_cli("--arrival-hz=nope", out), 2);
   EXPECT_EQ(run_cli("--json=", out), 2);
   EXPECT_EQ(run_cli("--queues=bogus1,bogus2", out), 2);
-  // Engineered-MultiQueue knobs: garbage, empty, negative, and
-  // out-of-range values must all die with status 2 before any measurement.
-  EXPECT_EQ(run_cli("--mq-c=abc", out), 2);
-  EXPECT_EQ(run_cli("--mq-c=0", out), 2);
-  EXPECT_EQ(run_cli("--mq-c=65", out), 2);
-  EXPECT_EQ(run_cli("--mq-sticky=", out), 2);
-  EXPECT_EQ(run_cli("--mq-sticky=-3", out), 2);
-  EXPECT_EQ(run_cli("--mq-sticky=4097", out), 2);
-  EXPECT_EQ(run_cli("--mq-buf=16x", out), 2);
-  EXPECT_EQ(run_cli("--mq-buf=1025", out), 2);
+  EXPECT_EQ(run_cli("--ms=inf", out), 2);
+  EXPECT_EQ(run_cli("--workload=bogus", out), 2);
 }
 
-TEST(BenchCli, MqKnobsListedAndAccepted) {
+// Every queue name and every ladder entry is checked: a typo exits 2 and
+// names the bad value instead of silently dropping or reshaping it.
+TEST(BenchCli, StrictRosterAndThreadLadder) {
+  const struct {
+    const char* args;
+    const char* named;
+  } cases[] = {{"--queues=glock,glokc", "'glokc'"},
+               {"--queues=glock,", "''"},
+               {"--threads=2.5", "'2.5'"},
+               {"--threads=-1", "'-1'"},
+               {"--threads=0,1", "'0'"},
+               {"--threads=1,x", "'x'"},
+               {"--threads=1,2000", "'2000'"}};
+  for (const auto& c : cases) {
+    std::string out;
+    EXPECT_EQ(run_cli_merged(std::string(c.args) +
+                                 " --mode=throughput --ms=1 --reps=1 "
+                                 "--prefill=10",
+                             out),
+              2)
+        << c.args;
+    const std::string flag(c.args, std::strchr(c.args, '='));
+    EXPECT_NE(out.find("invalid value for " + flag + ":"), std::string::npos)
+        << c.args << ": " << out;
+    EXPECT_NE(out.find(c.named), std::string::npos) << c.args << ": " << out;
+    EXPECT_EQ(out.find("# cpq_bench_cli"), std::string::npos)
+        << c.args << " measured before failing: " << out;
+  }
+}
+
+// --list names every preset with the artifact it reproduces, and every
+// preset's default roster resolves.
+TEST(BenchCli, ListPrintsEveryPresetWithItsArtifact) {
   std::string out;
   ASSERT_EQ(run_cli("--list", out), 0);
-  for (const char* needle :
-       {"mq-buf", "mq-sticky", "mq-eng", "--mq-c=N", "--mq-sticky=N",
-        "--mq-buf=N", "engineered MultiQueue knobs"}) {
-    EXPECT_NE(out.find(needle), std::string::npos) << needle;
+  EXPECT_NE(out.find("presets (--preset=...):"), std::string::npos);
+  ASSERT_EQ(preset_registry().size(), 14u);
+  for (const PresetSpec& preset : preset_registry()) {
+    EXPECT_NE(out.find("  " + preset.name + " "), std::string::npos)
+        << preset.name;
+    EXPECT_NE(out.find(preset.reproduces), std::string::npos) << preset.name;
+    EXPECT_FALSE(preset.panels.empty()) << preset.name;
+    std::vector<const QueueSpec*> roster;
+    std::string bad;
+    EXPECT_TRUE(resolve_roster(preset.roster, roster, bad))
+        << preset.name << ": " << bad;
   }
-  // Valid knob values run end to end (including buffer 0 = unbuffered).
-  ASSERT_EQ(run_cli("--mode=throughput --queues=mq-eng --threads=2 --ms=5 "
-                    "--reps=1 --prefill=200 --mq-c=2 --mq-sticky=4 "
-                    "--mq-buf=8",
+}
+
+TEST(BenchCli, PresetRunsItsPanelsWithTheSharedPrinters) {
+  std::string out;
+  ASSERT_EQ(run_cli("--preset=ablation-klsm-components --threads=1 --ms=2 "
+                    "--reps=1 --prefill=300 --json=-",
                     out),
             0);
-  EXPECT_NE(out.find("mq-eng"), std::string::npos);
-  ASSERT_EQ(run_cli("--mode=throughput --queues=mq-buf --threads=2 --ms=5 "
-                    "--reps=1 --prefill=200 --mq-buf=0",
+  EXPECT_NE(out.find("# cpq_bench_cli --preset=ablation-klsm-components"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("== A3 SLSM-bound — split workload, ascending keys — "
+                     "throughput [MOps/s] =="),
+            std::string::npos)
+      << out;
+  const std::vector<JsonRecord> records = parse_json_lines(out);
+  ASSERT_EQ(records.size(), 6u);  // 2 panels x 3 queues x 1 thread count
+  EXPECT_EQ(records[0].experiment,
+            "A3 DLSM-friendly — uniform workload, uniform32 keys");
+  EXPECT_EQ(records[0].queue, "dlsm");
+  EXPECT_EQ(records[5].queue, "klsm256");
+  // --queues narrows the preset's roster.
+  ASSERT_EQ(run_cli("--preset=fig1 --queues=glock --threads=1 --ms=2 "
+                    "--reps=1 --prefill=300 --json=-",
                     out),
             0);
+  EXPECT_EQ(parse_json_lines(out).size(), 1u);
+}
+
+TEST(BenchCli, FlagsThePresetFixesExitWithStatusTwo) {
+  for (const char* flag :
+       {"--mode=quality", "--workload=split", "--keys=uniform8",
+        "--key-dist=zipf:1.1", "--insert-fraction=0.9", "--arrivals=closed",
+        "--batch=4", "--producer-fraction=0.5", "--interleave",
+        "--perturb-layout", "--chaos=tests/chaos/basic_campaign.txt"}) {
+    std::string out;
+    EXPECT_EQ(run_cli_merged(std::string("--preset=fig1 ") + flag, out), 2)
+        << flag;
+    EXPECT_NE(out.find("--preset=fig1 fixes"), std::string::npos)
+        << flag << ": " << out;
+  }
+  std::string out;
+  EXPECT_EQ(run_cli("--preset=bogus", out), 2);
+  EXPECT_EQ(run_cli("--preset=", out), 2);
+}
+
+// The service knobs are strict flags of --mode=service, and only there.
+TEST(BenchCli, ServiceFlagsAreStrictAndServiceOnly) {
+  std::string out;
+  for (const char* bad :
+       {"--ttl-us=abc", "--ttl-us=-1", "--max-in-flight=1.5",
+        "--max-in-flight=", "--policy=bogus", "--policy=",
+        "--breaker-trip-us=1x", "--arrival-hz=-3"}) {
+    EXPECT_EQ(run_cli(std::string("--mode=service ") + bad, out), 2) << bad;
+  }
+  for (const char* service_only :
+       {"--ttl-us=100", "--max-in-flight=10", "--policy=reject",
+        "--breaker-trip-us=300", "--arrival-hz=1000", "--checked"}) {
+    EXPECT_EQ(run_cli_merged(std::string("--mode=quality ") + service_only,
+                             out),
+              2)
+        << service_only;
+    EXPECT_NE(out.find("only applies to --mode=service"), std::string::npos)
+        << service_only << ": " << out;
+  }
+  // An admission window smaller than the prefill would block the prefill
+  // forever (it runs before any consumer), so it is refused up front.
+  EXPECT_EQ(run_cli("--mode=service --prefill=200 --max-in-flight=64", out),
+            2);
+  // A tight window under the reject policy with a short ttl runs end to
+  // end.
+  ASSERT_EQ(run_cli("--mode=service --queues=mq --threads=2 --ms=20 "
+                    "--prefill=200 --arrival-hz=400000 --max-in-flight=256 "
+                    "--policy=reject --ttl-us=5000 --breaker-trip-us=300 "
+                    "--json=-",
+                    out),
+            0);
+  EXPECT_EQ(parse_json_lines(out).size(), 10u);
+}
+
+TEST(BenchCli, ChaosRunsOnlyOnAChaosCapableQueue) {
+  std::string out;
+  EXPECT_EQ(run_cli("--chaos=tests/chaos/basic_campaign.txt --queues=klsm256",
+                    out),
+            2);
+  EXPECT_EQ(run_cli("--chaos=/nonexistent/campaign.txt --queues=mq", out), 2);
+}
+
+TEST(BenchCli, EngineeredSweepPointsRunEndToEnd) {
+  std::string out;
+  ASSERT_EQ(run_cli("--mode=throughput --queues=mq-eng-s1,mq-eng-b0 "
+                    "--threads=2 --ms=5 --reps=1 --prefill=200 --json=-",
+                    out),
+            0);
+  const std::vector<JsonRecord> records = parse_json_lines(out);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].queue, "mq-eng-s1");
+  EXPECT_EQ(records[1].queue, "mq-eng-b0");
 }
 
 TEST(BenchCli, MetricsFlagArmsWidenedEngineeredBound) {
-  // The --metrics rank-est line for mq-eng must carry the widened soft
-  // bound derived from the CLI knobs — (c*s + 2*buf) * threads — and soft
-  // bounds must never report a violation.
+  // The --metrics rank-est line for mq-eng must carry its widened soft
+  // bound — (c*s + 2*buf) * threads at c=4, s=8, b=16 — and soft bounds
+  // must never report a violation.
   std::string out;
   ASSERT_EQ(run_cli("--mode=throughput --queues=mq-eng --threads=2 --ms=20 "
-                    "--reps=1 --prefill=5000 --mq-c=4 --mq-sticky=8 "
-                    "--mq-buf=16 --metrics",
+                    "--reps=1 --prefill=5000 --metrics",
                     out),
             0);
   EXPECT_NE(out.find("# rank-est mq-eng t=2:"), std::string::npos) << out;
@@ -737,7 +890,7 @@ TEST(BenchCli, EmptyTraceOutPathIsRejected) {
   EXPECT_EQ(run_cli("--trace-out=", out), 2);
 }
 
-// Telemetry flag hygiene (bench/telemetry_cli.hpp): malformed values and
+// Telemetry flag hygiene (bench/cpq_bench_cli.cpp): malformed values and
 // dependent flags without --telemetry-hz must exit 2 before measuring
 // anything. The --slo specs contain '<', so they ride through the popen
 // shell single-quoted.

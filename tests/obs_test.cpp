@@ -355,7 +355,7 @@ TEST(ChromeTraceTest, ExportsInstantEventsAndThreadNames) {
 }
 
 TEST(ChromeTraceTest, CalibrationIsPositiveAndSane) {
-  const double ns_per_tick = calibrate_ns_per_tick();
+  const double ns_per_tick = tsc_clock().ns_per_tick();
   EXPECT_GT(ns_per_tick, 0.0);
   // TSC frequencies live between ~0.5 GHz and ~6 GHz; steady_clock fallback
   // is exactly 1 ns/tick. Either way the factor is within [0.1, 10].

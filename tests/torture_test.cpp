@@ -56,8 +56,8 @@ using MqPairing = MultiQueue<K, V, seq::PairingHeap<K, V>>;
 using MqDary = MultiQueue<K, V, seq::DaryHeap<K, V, 4>>;
 using MqEng = EngMultiQueue<K, V>;
 
-// Engineered-variant configs mirroring the registry's mq-buf / mq-sticky /
-// mq-eng entries (registry.cpp can't be linked here — ODR, see header).
+// Engineered-variant configs mirroring the registry's mq-eng-s1 / mq-eng-b0
+// / mq-eng entries (registry.cpp can't be linked here — ODR, see header).
 MqEngConfig eng_config(unsigned stickiness, unsigned buffer) {
   MqEngConfig cfg;
   cfg.stickiness = stickiness;
@@ -236,7 +236,7 @@ TYPED_TEST(TortureTest, SplitProducersConsumersConserveItems) {
 // ---- engineered MultiQueue: every variant and buffer seam ----------------
 
 // The typed suite above covers the combined mq-eng configuration; these
-// cover the single-refinement variants (registry's mq-buf and mq-sticky)
+// cover the single-refinement variants (registry's mq-eng-s1, mq-eng-b0)
 // plus the conservation edges specific to thread-local buffering: items
 // parked in an unflushed insertion buffer, a partially-served deletion
 // batch at handle teardown, and the new flush/refill/spill seams stretched

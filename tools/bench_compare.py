@@ -5,8 +5,9 @@ Usage:
     tools/bench_compare.py BASELINE.json CURRENT.json [options]
     tools/bench_compare.py --self-test
 
-Both files hold the cpq JSON Lines cell records emitted via CPQ_JSON /
---json (one object per line; see src/bench_framework/json_out.hpp).
+Both files hold the cpq JSON Lines cell records emitted via --json (one
+object per line, schema_version 3 or 4, every key required; see
+src/bench_framework/json_out.hpp).
 Cells are matched on (experiment, queue, metric, threads) and compared
 with noise-aware thresholds:
 
@@ -56,13 +57,30 @@ COMPARED_METRICS = {
 INFORMATIONAL_PREFIXES = ("layout_", "burst_", "counter_", "rank_est_",
                           "perf_", "slo_", "ts_")
 
-REQUIRED_KEYS = {"experiment", "queue", "metric", "threads", "mean", "ci95",
-                 "reps"}
+REQUIRED_KEYS = {"schema_version", "experiment", "queue", "metric", "threads",
+                 "mean", "ci95", "reps", "status"}
+# v3 lines are valid v4 lines (v4 only added metric families).
+MIN_SCHEMA_VERSION = 3
 MAX_SCHEMA_VERSION = 4
 
 
 class ParseError(Exception):
     pass
+
+
+def check_record(obj, where):
+    """Raise ParseError unless `obj` is a complete v3/v4 cell record."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: not an object")
+    missing = REQUIRED_KEYS - obj.keys()
+    if missing:
+        raise ParseError(f"{where}: missing keys: {sorted(missing)}")
+    version = obj["schema_version"]
+    if not isinstance(version, int) or not (
+            MIN_SCHEMA_VERSION <= version <= MAX_SCHEMA_VERSION):
+        raise ParseError(f"{where}: unsupported schema_version {version!r}")
+    if obj["status"] not in ("ok", "failed"):
+        raise ParseError(f"{where}: unknown status {obj['status']!r}")
 
 
 def load_records(path):
@@ -77,17 +95,7 @@ def load_records(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise ParseError(f"{path}:{lineno}: not JSON: {err}") from err
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}:{lineno}: not an object")
-            missing = REQUIRED_KEYS - obj.keys()
-            if missing:
-                raise ParseError(
-                    f"{path}:{lineno}: missing keys: {sorted(missing)}")
-            version = obj.get("schema_version", 1)
-            if not isinstance(version, int) or not (
-                    1 <= version <= MAX_SCHEMA_VERSION):
-                raise ParseError(
-                    f"{path}:{lineno}: unsupported schema_version {version!r}")
+            check_record(obj, f"{path}:{lineno}")
             key = (obj["experiment"], obj["queue"], obj["metric"],
                    obj["threads"])
             # Re-runs append: the last record for a cell wins.
@@ -125,9 +133,9 @@ def compare(baseline, current, threshold):
         if direction is None:
             skipped.append(key)
             continue
-        if base.get("status") == "failed" or cur.get("status") == "failed":
+        if base["status"] == "failed" or cur["status"] == "failed":
             # A cell failing now where it passed before IS a regression.
-            if base.get("status") != "failed" and cur.get("status") == "failed":
+            if base["status"] != "failed":
                 regressions.append((key, base, cur, "cell failed"))
             continue
         if base["mean"] is None or cur["mean"] is None:
@@ -197,7 +205,7 @@ def self_test():
     """Prove the detector on synthetic data: an identical re-run passes and
     a 30% throughput regression fails, deterministically."""
     def cell(metric, mean, ci95=0.0, status="ok"):
-        return {"schema_version": 2, "experiment": "fig1", "queue": "mq",
+        return {"schema_version": 4, "experiment": "fig1", "queue": "mq",
                 "metric": metric, "threads": 4, "mean": mean, "ci95": ci95,
                 "reps": 3, "status": status}
 
@@ -239,7 +247,7 @@ def self_test():
     r, _, _, _, _ = compare(base, failed, 0.20)
     assert len(r) == 1 and r[0][3] == "cell failed", f"failed cell missed: {r}"
 
-    # 6. "mean": null (schema v2) is skipped, not compared as zero.
+    # 6. "mean": null (metric unavailable) is skipped, not compared as zero.
     nullled = {k: dict(v) for k, v in base.items()}
     nullled[("fig1", "mq", "throughput_mops", 4)]["mean"] = None
     r, _, skipped, _, _ = compare(base, nullled, 0.20)
@@ -282,6 +290,20 @@ def self_test():
     assert not r, f"informational slo_/ts_ cell flagged: {r}"
     assert len(skipped) == 3, \
         f"slo_/ts_ cells should be informational-only: {skipped}"
+
+    # 10. Records must be complete v3/v4 lines: no key defaults any more.
+    check_record(cell("throughput_mops", 1.0), "v4")
+    check_record(dict(cell("throughput_mops", 1.0), schema_version=3), "v3")
+    for broken in ({k: v for k, v in cell("m", 1.0).items() if k != "status"},
+                   {k: v for k, v in cell("m", 1.0).items()
+                    if k != "schema_version"},
+                   dict(cell("m", 1.0), schema_version=2),
+                   dict(cell("m", 1.0), status="maybe")):
+        try:
+            check_record(broken, "broken")
+        except ParseError:
+            continue
+        raise AssertionError(f"incomplete record accepted: {broken}")
 
     print("bench_compare: self-test passed")
     return 0
