@@ -129,7 +129,11 @@ BENCHMARK(BM_SeqQueueSteadyState<cpq::seq::SeqLsm<K, V>>)
 
 // ---- k-LSM block machinery ---------------------------------------------
 
-void BM_BlockClaimMerge(benchmark::State& state) {
+// Claim-merge two interleaved n-slot blocks, the step every k-LSM merge
+// cascade repeats. `claimed_front` slots at the head of each block are
+// claimed beforehand, as deleters leave them at the front of an SLSM block;
+// items/s counts the live items the merge moves.
+void block_claim_merge(benchmark::State& state, std::int64_t claimed_front) {
   const std::int64_t n = state.range(0);
   for (auto _ : state) {
     state.PauseTiming();
@@ -138,6 +142,10 @@ void BM_BlockClaimMerge(benchmark::State& state) {
     for (std::int64_t i = 0; i < n; ++i) ib.emplace_back(2 * i + 1, i);
     auto* a = cpq::klsm_detail::Block<K, V>::create(std::move(ia));
     auto* b = cpq::klsm_detail::Block<K, V>::create(std::move(ib));
+    for (std::int64_t i = 0; i < claimed_front; ++i) {
+      a->claim(static_cast<std::uint32_t>(i));
+      b->claim(static_cast<std::uint32_t>(i));
+    }
     state.ResumeTiming();
     benchmark::DoNotOptimize(cpq::klsm_detail::claim_merge(*a, *b));
     state.PauseTiming();
@@ -145,9 +153,19 @@ void BM_BlockClaimMerge(benchmark::State& state) {
     b->unref();
     state.ResumeTiming();
   }
-  state.SetItemsProcessed(state.iterations() * 2 * n);
+  state.SetItemsProcessed(state.iterations() * 2 * (n - claimed_front));
 }
-BENCHMARK(BM_BlockClaimMerge)->Arg(128)->Arg(4096);
+
+void BM_BlockClaimMerge(benchmark::State& state) {
+  block_claim_merge(state, 0);
+}
+// 65536: the SSSP workload's SLSM merges reach blocks of this size.
+BENCHMARK(BM_BlockClaimMerge)->Arg(128)->Arg(4096)->Arg(65536);
+
+void BM_BlockClaimMergeHalfClaimed(benchmark::State& state) {
+  block_claim_merge(state, state.range(0) / 2);
+}
+BENCHMARK(BM_BlockClaimMergeHalfClaimed)->Arg(4096)->Arg(65536);
 
 // The raw merge kernels, decoupled from slot claiming: scalar oracle vs the
 // branch-free unrolled loop vs the SSE4.2 variant (when the host supports

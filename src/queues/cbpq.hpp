@@ -31,7 +31,8 @@
 // Chunks are reclaimed through EBR; buffer cells through claim flags plus
 // chunk-lifetime ownership. The appendix reports the CBPQ "clearly
 // outperforms the other queues in mixed workloads and deletion workloads";
-// bench_appendix_queues measures that claim against this implementation.
+// `cpq_bench_cli --preset=appendix` measures that claim against this
+// implementation.
 #pragma once
 
 #include <algorithm>

@@ -1,13 +1,17 @@
 // k-LSM building blocks: sorted item blocks and versioned block arrays.
 //
-// A Block is a write-once sorted array of (key, value) slots, each with an
-// atomic `taken` flag. After construction only the flags mutate, so readers
-// may dereference keys/values of any slot at any time; ownership of an item
-// is transferred by exchange(true) on its flag — exactly one claimant wins.
-// Items *move* between blocks by being claimed out of the source block and
-// re-materialized (still exactly once) in the destination block, which is
-// how merges, DLSM->SLSM overflow batches, and spy() stealing all avoid
+// A Block is a write-once sorted array of (key, value) slots plus one packed
+// 64-bit claim word per 64 slots. After construction only the claim words
+// mutate, so readers may dereference keys/values of any slot at any time;
+// ownership of slot i is transferred by fetch_or of bit i in its claim word —
+// the bit goes from 0 to 1 once, and the one caller that flips it owns the
+// item. Items *move* between blocks by being claimed out of the source block
+// and re-materialized (still exactly once) in the destination block, which
+// is how merges, DLSM->SLSM overflow batches, and spy() stealing all avoid
 // duplicate delivery without the original k-LSM's pooled item-version tags.
+// Those bulk moves go through drain_into, which claims a whole word with one
+// exchange(~0) and emits the slots whose old bit was 0, so a drain costs one
+// locked instruction per 64 slots rather than one per slot.
 //
 // A BlockArray is an immutable snapshot of a LSM's block list (capacities
 // strictly decreasing), published through a single atomic pointer and
@@ -24,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -46,15 +51,16 @@ class Block {
   struct Slot {
     Key key;
     Value value;
-    std::atomic<bool> taken;
   };
+
+  static constexpr std::uint32_t kWordBits = 64;
 
   // Build a block from already-sorted items. refs starts at 1: the caller
   // places the block into exactly one array (or drops it with unref()).
   //
-  // Header and slot array live in ONE pooled chunk (mm::pool_alloc), so the
-  // merge cascade's block churn is a magazine pop/push instead of two
-  // malloc/free round-trips per block version.
+  // Header, claim words and slot array live in ONE pooled chunk
+  // (mm::pool_alloc), so the merge cascade's block churn is a magazine
+  // pop/push instead of malloc/free round-trips per block version.
   static Block* create(const std::pair<Key, Value>* sorted_items,
                        std::uint32_t n) {
     void* raw = mm::pool_alloc(storage_bytes(n));
@@ -86,14 +92,32 @@ class Block {
 
   // First slot index not yet claimed, starting from the head hint; advances
   // the hint (monotonically in effect — the hint may transiently regress
-  // under races, which only costs a few extra flag reads).
+  // under races, which only costs a few extra word reads).
   std::uint32_t first_live() const noexcept {
-    std::uint32_t i = head_hint_.load(std::memory_order_relaxed);
-    while (i < count_ && slots_[i].taken.load(std::memory_order_acquire)) ++i;
-    if (i != head_hint_.load(std::memory_order_relaxed)) {
-      head_hint_.store(i, std::memory_order_relaxed);
-    }
+    const std::uint32_t hint = head_hint_.load(std::memory_order_relaxed);
+    const std::uint32_t i = next_live(hint, count_);
+    if (i != hint) head_hint_.store(i, std::memory_order_relaxed);
     return i;
+  }
+
+  // First unclaimed slot in [from, limit), or `limit` when there is none:
+  // one load and one countr_one per claim word walked. Padding bits past
+  // count_ are set, so a word with a zero bit always names a real slot.
+  std::uint32_t next_live(std::uint32_t from, std::uint32_t limit) const
+      noexcept {
+    assert(limit <= count_);
+    while (from < limit) {
+      const std::uint32_t w = from / kWordBits;
+      const std::uint64_t bits = words_[w].load(std::memory_order_acquire) |
+                                 low_bits(from % kWordBits);
+      if (bits != kAllClaimed) {
+        const std::uint32_t i =
+            w * kWordBits + static_cast<std::uint32_t>(std::countr_one(bits));
+        return i < limit ? i : limit;
+      }
+      from = (w + 1) * kWordBits;
+    }
+    return limit;
   }
 
   // Upper bound on live items (counts claimed-but-not-yet-skipped slots).
@@ -106,9 +130,12 @@ class Block {
   bool claim(std::uint32_t i) noexcept {
     assert(i < count_);
     // Fault injection: widen the peek-to-claim window, the seam where a
-    // racing claimant must lose exactly one of the two exchanges.
+    // racing claimant must lose exactly one of the two fetch_ors.
     CPQ_INJECT("block.claim");
-    const bool won = !slots_[i].taken.exchange(true, std::memory_order_acq_rel);
+    const std::uint64_t bit = std::uint64_t{1} << (i % kWordBits);
+    const bool won = (words_[i / kWordBits].fetch_or(
+                          bit, std::memory_order_acq_rel) &
+                      bit) == 0;
     if (!won) CPQ_COUNT(kCasRetry);
     return won;
   }
@@ -130,27 +157,47 @@ class Block {
     return lo;
   }
 
-  // Claim-move every still-live item into `out`, preserving sort order.
+  // Claim-move every still-live item into `out`, preserving sort order: one
+  // exchange(~0) per claim word, emitting the slots whose old bit was 0.
   void drain_into(std::vector<std::pair<Key, Value>>& out) {
-    for (std::uint32_t i = first_live(); i < count_; ++i) {
+    const std::uint32_t first = first_live();
+    if (first >= count_) return;
+    for (std::uint32_t w = first / kWordBits; w < word_count(); ++w) {
       // Fault injection: a drain (merge / spy / overflow) racing deleters
-      // item by item is the k-LSM's busiest ownership-transfer seam.
+      // word by word is the k-LSM's busiest ownership-transfer seam.
       CPQ_INJECT("block.drain");
-      if (!slots_[i].taken.load(std::memory_order_acquire) && claim(i)) {
-        out.emplace_back(slots_[i].key, slots_[i].value);
+      std::uint64_t live =
+          ~words_[w].exchange(kAllClaimed, std::memory_order_acq_rel);
+      for (; live != 0; live &= live - 1) {
+        const Slot& s =
+            slots_[w * kWordBits +
+                   static_cast<std::uint32_t>(std::countr_zero(live))];
+        out.emplace_back(s.key, s.value);
       }
     }
+    head_hint_.store(count_, std::memory_order_relaxed);
   }
 
  private:
+  using Word = std::atomic<std::uint64_t>;
+  static constexpr std::uint64_t kAllClaimed = ~std::uint64_t{0};
+
   Block(const std::pair<Key, Value>* sorted_items, std::uint32_t n)
       : count_(n),
         capacity_(capacity_for(n)),
+        words_(reinterpret_cast<Word*>(reinterpret_cast<char*>(this) +
+                                       words_offset())),
         slots_(reinterpret_cast<Slot*>(reinterpret_cast<char*>(this) +
-                                       slots_offset())) {
+                                       slots_offset(n))) {
+    for (std::uint32_t w = 0; w < word_count(); ++w) new (&words_[w]) Word(0);
+    // Padding bits of the last word start claimed: no walk or drain can
+    // ever stop on (or emit) a slot past count_.
+    if (count_ % kWordBits != 0) {
+      words_[word_count() - 1].store(~low_bits(count_ % kWordBits),
+                                     std::memory_order_relaxed);
+    }
     for (std::uint32_t i = 0; i < count_; ++i) {
-      new (&slots_[i])
-          Slot{sorted_items[i].first, sorted_items[i].second, {false}};
+      new (&slots_[i]) Slot{sorted_items[i].first, sorted_items[i].second};
 #ifndef NDEBUG
       assert(i == 0 || !(sorted_items[i].first < sorted_items[i - 1].first));
 #endif
@@ -161,14 +208,34 @@ class Block {
   static_assert(std::is_trivially_destructible_v<Key> &&
                     std::is_trivially_destructible_v<Value>,
                 "pooled slots are not individually destroyed");
+  static_assert(std::is_trivially_destructible_v<Word>,
+                "pooled claim words are not individually destroyed");
 
-  // Byte offset of the trailing slot array and total chunk size for a block
-  // of n slots. unref() recomputes the size from count_ for pool_free.
-  static constexpr std::size_t slots_offset() noexcept {
-    return (sizeof(Block) + alignof(Slot) - 1) & ~(alignof(Slot) - 1);
+  // Mask of the bits below bit r (r < 64).
+  static constexpr std::uint64_t low_bits(std::uint32_t r) noexcept {
+    return (std::uint64_t{1} << r) - 1;
+  }
+
+  static constexpr std::uint32_t words_for(std::uint32_t n) noexcept {
+    return (n + kWordBits - 1) / kWordBits;
+  }
+  std::uint32_t word_count() const noexcept { return words_for(count_); }
+
+  // Chunk layout: [Block header][claim words][slots]. unref() recomputes
+  // the size from count_ for pool_free.
+  static constexpr std::size_t align_up(std::size_t bytes,
+                                        std::size_t align) noexcept {
+    return (bytes + align - 1) & ~(align - 1);
+  }
+  static constexpr std::size_t words_offset() noexcept {
+    return align_up(sizeof(Block), alignof(Word));
+  }
+  static constexpr std::size_t slots_offset(std::uint32_t n) noexcept {
+    return align_up(words_offset() + std::size_t{words_for(n)} * sizeof(Word),
+                    alignof(Slot));
   }
   static constexpr std::size_t storage_bytes(std::uint32_t n) noexcept {
-    return slots_offset() + std::size_t{n} * sizeof(Slot);
+    return slots_offset(n) + std::size_t{n} * sizeof(Slot);
   }
 
   static std::uint32_t capacity_for(std::uint32_t n) noexcept {
@@ -179,6 +246,7 @@ class Block {
 
   const std::uint32_t count_;
   const std::uint32_t capacity_;
+  Word* const words_;
   Slot* const slots_;
   mutable std::atomic<std::uint32_t> head_hint_{0};
   std::atomic<std::uint32_t> refs_{1};
@@ -201,7 +269,8 @@ class Block {
 //
 // Ordering note: claims happen run-by-run (all of `a`, then all of `b`)
 // instead of interleaved by key. Per-slot exactly-once transfer is
-// unaffected — it relies only on the claim exchange, not claim order.
+// unaffected — it relies only on each claim bit flipping once, not on claim
+// order.
 template <typename Key, typename Value>
 void claim_merge_into(Block<Key, Value>& a, Block<Key, Value>& b,
                       std::vector<std::pair<Key, Value>>& merged) {

@@ -7,8 +7,8 @@
 // interact in two ways, both via the published array under an EBR guard:
 //
 //   * k-LSM delete_min peeks the owner's own array (owner access, no guard
-//     needed for the current array) — items are claimed per slot, so
-//     claims by the owner, by merges, and by spies never conflict.
+//     needed for the current array) — items are claimed by their claim-word
+//     bit, so claims by the owner, by merges, and by spies never conflict.
 //   * spy(): when a thread's local LSM is empty, it claims every live item
 //     out of a victim's published array and re-materializes them in its own
 //     LSM. The paper describes spy as "copying" another thread's items; in
@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -45,12 +46,17 @@ class ThreadLocalLsm {
   // allocation cost (array + block + slots) by that factor — the role of
   // the insertion buffer in the original k-LSM. Staged items are fully
   // visible: the owner's peek/delete scans them and spies steal them, via
-  // an epoch-tagged per-slot state word, so claiming is ABA-safe and
-  // exactly-once exactly like block slots.
+  // one stage word shared by all slots — a ready bit per slot plus the
+  // owner's flush epoch — so claiming is ABA-safe and exactly-once exactly
+  // like block slots.
   static constexpr std::uint32_t kStagingSlots = 16;
 
-  // Slot word layout: (epoch << 2) | phase.
-  enum : std::uint64_t { kStageEmpty = 0, kStageReady = 1, kStageTaken = 2 };
+  // Stage word layout: (flush epoch << kStagingSlots) | ready bits. Bit i is
+  // set once by the insert that fills slot i and cleared once by whoever
+  // claims that item; the epoch changes only when the owner flushes (and so
+  // starts reusing slots), which makes a CAS from a stale word fail.
+  static constexpr std::uint64_t kReadyMask =
+      (std::uint64_t{1} << kStagingSlots) - 1;
 
   // Sentinel "block index" that peek/claim use to address staging slots.
   static constexpr std::uint32_t kStagingBlockIndex = 0xFFFFFFFFu;
@@ -79,40 +85,36 @@ class ThreadLocalLsm {
 
   void insert(Key key, Value value) {
     if (staging_cursor_ == kStagingSlots) flush_staging();
-    StageSlot& slot = staging_[staging_cursor_++];
-    const std::uint64_t epoch = slot.state.load(std::memory_order_relaxed) >> 2;
-    slot.key.store(key, std::memory_order_relaxed);
-    slot.value.store(value, std::memory_order_relaxed);
+    const std::uint32_t i = staging_cursor_++;
+    staging_[i].key.store(key, std::memory_order_relaxed);
+    staging_[i].value.store(value, std::memory_order_relaxed);
     // Fault injection: stall between writing the payload and publishing the
-    // state word — spies must never observe a half-written staged item.
+    // ready bit — spies must never observe a half-written staged item.
     CPQ_INJECT("dlsm.stage");
-    slot.state.store(((epoch + 1) << 2) | kStageReady,
-                     std::memory_order_release);
+    stage_word_.fetch_or(std::uint64_t{1} << i, std::memory_order_release);
   }
 
-  // Claim all still-ready staged items into one sorted block. The scratch
-  // vector is a member (owner-only path), so steady-state flushes reuse its
-  // capacity instead of paying a heap round-trip per kStagingSlots inserts.
+  // Claim all still-ready staged items into one sorted block with one
+  // exchange that also installs the next epoch (the slots are reused from
+  // here on). The scratch vector is a member (owner-only path), so
+  // steady-state flushes reuse its capacity instead of paying a heap
+  // round-trip per kStagingSlots inserts.
   void flush_staging() {
+    if (staging_cursor_ == 0) return;
+    staging_cursor_ = 0;
+    // Only the owner writes the epoch bits, so a relaxed load reads it.
+    const std::uint64_t epoch =
+        stage_word_.load(std::memory_order_relaxed) >> kStagingSlots;
+    // Fault injection: stall before the exchange a spy's CAS races with.
+    CPQ_INJECT("dlsm.flush_claim");
+    const std::uint64_t ready =
+        stage_word_.exchange((epoch + 1) << kStagingSlots,
+                             std::memory_order_acq_rel) &
+        kReadyMask;
+    if (ready == 0) return;  // all stolen by spies
     std::vector<std::pair<Key, Value>>& items = flush_scratch_;
     items.clear();
-    items.reserve(kStagingSlots);
-    for (std::uint32_t i = 0; i < staging_cursor_; ++i) {
-      StageSlot& slot = staging_[i];
-      std::uint64_t word = slot.state.load(std::memory_order_acquire);
-      if ((word & 3) != kStageReady) continue;  // stolen by a spy
-      const Key key = slot.key.load(std::memory_order_relaxed);
-      const Value value = slot.value.load(std::memory_order_relaxed);
-      // Fault injection: widen the load-to-CAS window a spy races through.
-      CPQ_INJECT("dlsm.flush_claim");
-      if (slot.state.compare_exchange_strong(
-              word, (word & ~std::uint64_t{3}) | kStageTaken,
-              std::memory_order_acq_rel)) {
-        items.emplace_back(key, value);
-      }
-    }
-    staging_cursor_ = 0;
-    if (items.empty()) return;
+    append_staged(ready, items);
     std::sort(items.begin(), items.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     insert_block(BlockT::create(items.data(),
@@ -155,10 +157,10 @@ class ThreadLocalLsm {
       out.slot = slot_index;
       out.key = best;
     }
-    for (std::uint32_t i = 0; i < kStagingSlots; ++i) {
-      const std::uint64_t word =
-          staging_[i].state.load(std::memory_order_acquire);
-      if ((word & 3) != kStageReady) continue;
+    const std::uint64_t word = stage_word_.load(std::memory_order_acquire);
+    for (std::uint64_t ready = word & kReadyMask; ready != 0;
+         ready &= ready - 1) {
+      const auto i = static_cast<std::uint32_t>(std::countr_zero(ready));
       const Key key = staging_[i].key.load(std::memory_order_relaxed);
       if (!found || key < out.key) {
         found = true;
@@ -174,15 +176,15 @@ class ThreadLocalLsm {
 
   // Claim exactly the item found by peek_local_min; fails if a racing spy,
   // merge, or flush got there first (or, for staging, if the slot was
-  // reused — the epoch tag makes that CAS fail).
+  // reused — the epoch in the peeked word makes that CAS fail).
   bool claim_peeked(const PeekResult& peeked, Key& key_out, Value& value_out) {
     if (peeked.staged) {
-      StageSlot& slot = staging_[peeked.slot];
+      const StageSlot& slot = staging_[peeked.slot];
       const Key key = slot.key.load(std::memory_order_relaxed);
       const Value value = slot.value.load(std::memory_order_relaxed);
       std::uint64_t expected = peeked.stage_word;
-      if (!slot.state.compare_exchange_strong(
-              expected, (expected & ~std::uint64_t{3}) | kStageTaken,
+      if (!stage_word_.compare_exchange_strong(
+              expected, expected & ~(std::uint64_t{1} << peeked.slot),
               std::memory_order_acq_rel)) {
         return false;
       }
@@ -203,12 +205,10 @@ class ThreadLocalLsm {
   // Upper bound on the number of live local items (staged included).
   std::uint32_t live_estimate() const {
     const ArrayT* array = published_.load(std::memory_order_relaxed);
-    std::uint32_t total = array ? array->live_estimate() : 0;
-    for (std::uint32_t i = 0; i < kStagingSlots; ++i) {
-      total += (staging_[i].state.load(std::memory_order_acquire) & 3) ==
-               kStageReady;
-    }
-    return total;
+    const std::uint32_t total = array ? array->live_estimate() : 0;
+    return total + static_cast<std::uint32_t>(std::popcount(
+                       stage_word_.load(std::memory_order_acquire) &
+                       kReadyMask));
   }
 
   // Claim-extract the largest block's items (the DLSM->SLSM overflow batch)
@@ -253,21 +253,23 @@ class ThreadLocalLsm {
   }
 
   // Claim the victim's staged items too (called on the victim's LSM by the
-  // spying thread; the epoch-tagged CAS keeps it exactly-once).
+  // spying thread): one CAS clears every ready bit of the word whose items
+  // were read, so the epoch check keeps it exactly-once. A failed CAS (the
+  // owner staged, claimed or flushed meanwhile) discards the reads and
+  // retries on the fresh word.
   void steal_staging(std::vector<std::pair<Key, Value>>& out) {
-    for (std::uint32_t i = 0; i < kStagingSlots; ++i) {
-      StageSlot& slot = staging_[i];
-      std::uint64_t word = slot.state.load(std::memory_order_acquire);
-      if ((word & 3) != kStageReady) continue;
-      const Key key = slot.key.load(std::memory_order_relaxed);
-      const Value value = slot.value.load(std::memory_order_relaxed);
+    const std::size_t base = out.size();
+    std::uint64_t word = stage_word_.load(std::memory_order_acquire);
+    while ((word & kReadyMask) != 0) {
+      append_staged(word & kReadyMask, out);
       // Fault injection: the mirror of dlsm.flush_claim, from the spy side.
       CPQ_INJECT("dlsm.steal");
-      if (slot.state.compare_exchange_strong(
-              word, (word & ~std::uint64_t{3}) | kStageTaken,
-              std::memory_order_acq_rel)) {
-        out.emplace_back(key, value);
+      if (stage_word_.compare_exchange_weak(word, word & ~kReadyMask,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+        return;
       }
+      out.resize(base);
     }
   }
 
@@ -322,21 +324,31 @@ class ThreadLocalLsm {
     }
   }
 
+  // Append the staged items named by `ready` (a set of ready bits).
+  void append_staged(std::uint64_t ready,
+                     std::vector<std::pair<Key, Value>>& out) const {
+    for (; ready != 0; ready &= ready - 1) {
+      const StageSlot& slot = staging_[std::countr_zero(ready)];
+      out.emplace_back(slot.key.load(std::memory_order_relaxed),
+                       slot.value.load(std::memory_order_relaxed));
+    }
+  }
+
   // The payload fields are relaxed atomics because staged slots are a
-  // seqlock: spies read key/value between an acquire load of `state` and
-  // the epoch-validating CAS that claims the slot, concurrently with the
-  // owner rewriting a reused slot. The CAS (its release half orders the
-  // preceding relaxed loads before it) rejects any read that overlapped a
-  // rewrite — but the overlapping loads still need to be atomic to be
-  // defined behavior. For the 64-bit keys/values every queue instantiates,
-  // these compile to the same plain moves as before.
+  // seqlock: spies read key/value between an acquire load of the stage
+  // word and the epoch-validating CAS that claims the slots, concurrently
+  // with the owner rewriting a reused slot. The CAS (its release half
+  // orders the preceding relaxed loads before it) rejects any read that
+  // overlapped a rewrite — but the overlapping loads still need to be
+  // atomic to be defined behavior. For the 64-bit keys/values every queue
+  // instantiates, these compile to the same plain moves as before.
   struct StageSlot {
     std::atomic<Key> key{};
     std::atomic<Value> value{};
-    std::atomic<std::uint64_t> state{0};
   };
 
   std::atomic<ArrayT*> published_{nullptr};
+  std::atomic<std::uint64_t> stage_word_{0};
   StageSlot staging_[kStagingSlots];
   std::uint32_t staging_cursor_ = 0;  // owner-thread access only
   std::vector<std::pair<Key, Value>> flush_scratch_;  // owner-thread only

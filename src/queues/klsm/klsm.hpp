@@ -10,7 +10,7 @@
 //
 // The relaxation parameter k is a runtime constructor argument; the paper's
 // variants are k = 128, 256, 4096 (k = 16 behaves like the strict Lindén
-// queue and is exercised in bench_ablation_klsm_k).
+// queue and is exercised by `cpq_bench_cli --preset=ablation-klsm-k`).
 #pragma once
 
 #include <algorithm>

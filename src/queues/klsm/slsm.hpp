@@ -19,6 +19,7 @@
 // paper's split-workload collapse (Fig. 2) reproduces (EXPERIMENTS.md).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -170,13 +171,12 @@ class Slsm {
         // Scan forward from the picked slot, wrapping to the range start
         // (starts[i] is the first *live* slot, so a wrap finds a candidate
         // unless a racing deleter claimed the whole range meanwhile).
-        BlockT& block = *array->blocks[i];
+        const BlockT& block = *array->blocks[i];
         const std::uint32_t from =
             starts[i] + static_cast<std::uint32_t>(pick);
-        for (std::uint32_t probe = 0; probe < ends[i] - starts[i]; ++probe) {
-          std::uint32_t s = from + probe;
-          if (s >= ends[i]) s -= ends[i] - starts[i];
-          if (!block.slot(s).taken.load(std::memory_order_acquire)) {
+        for (const auto& [lo, hi] : wrapped_range(starts[i], from, ends[i])) {
+          const std::uint32_t s = block.next_live(lo, hi);
+          if (s < hi) {
             out.array = array;
             out.block = i;
             out.slot = s;
@@ -213,6 +213,15 @@ class Slsm {
  private:
   static constexpr unsigned kMaxRounds = 16;
   static constexpr unsigned kClaimProbes = 8;
+
+  // A candidate range [start, end) probed from `from`: first [from, end),
+  // then the wrap-around [start, from).
+  using Span = std::pair<std::uint32_t, std::uint32_t>;
+  static std::array<Span, 2> wrapped_range(std::uint32_t start,
+                                           std::uint32_t from,
+                                           std::uint32_t end) noexcept {
+    return {Span{from, end}, Span{start, from}};
+  }
 
   static void merge_cascade(ArrayT& array) {
     // Reused merge scratch: the cascade runs under the insert lock but the
@@ -259,13 +268,9 @@ class Slsm {
       std::uint32_t best_block = ArrayT::kMaxBlocks;
       Key best_key{};
       for (std::uint32_t i = 0; i < array.count; ++i) {
-        BlockT& block = *array.blocks[i];
-        // Advance this block's cursor over claimed holes.
-        std::uint32_t c = cursor[i];
-        while (c < block.slot_count() &&
-               block.slot(c).taken.load(std::memory_order_acquire)) {
-          ++c;
-        }
+        const BlockT& block = *array.blocks[i];
+        // Advance this block's cursor over claimed holes, a word at a time.
+        const std::uint32_t c = block.next_live(cursor[i], block.slot_count());
         cursor[i] = c;
         if (c >= block.slot_count()) continue;
         const Key key = block.slot(c).key;
@@ -313,17 +318,19 @@ class Slsm {
           continue;
         }
         BlockT& block = *array.blocks[i];
-        // Probe within the candidate range from the picked slot, wrapping
-        // to the range start (which first_live() guarantees was live).
+        // Claim the live slots of the candidate range from the picked slot,
+        // wrapping to the range start (which first_live() guarantees was
+        // live); claimed holes are skipped word by word, not claimed again.
         const std::uint32_t from =
             starts[i] + static_cast<std::uint32_t>(pick);
-        for (std::uint32_t probe = 0; probe < ends[i] - starts[i]; ++probe) {
-          std::uint32_t s = from + probe;
-          if (s >= ends[i]) s -= ends[i] - starts[i];
-          if (block.claim(s)) {
-            key_out = block.slot(s).key;
-            value_out = block.slot(s).value;
-            return true;
+        for (const auto& [lo, hi] : wrapped_range(starts[i], from, ends[i])) {
+          for (std::uint32_t s = block.next_live(lo, hi); s < hi;
+               s = block.next_live(s + 1, hi)) {
+            if (block.claim(s)) {
+              key_out = block.slot(s).key;
+              value_out = block.slot(s).value;
+              return true;
+            }
           }
         }
         break;  // whole range drained; re-snapshot

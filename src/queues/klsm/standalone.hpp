@@ -4,11 +4,12 @@
 // standalone priority queues, but have complementary advantages and
 // disadvantages which can be balanced against each other by their
 // composition". These wrappers expose each component through the common
-// queue interface so bench_ablation_klsm_components can demonstrate exactly
-// that: the DLSM scales embarrassingly but gives only thread-local ordering,
-// the SLSM gives the global k+1 guarantee but centralizes contention, and
-// the k-LSM sits between them depending on which component carries the load
-// (the paper's §G explanation for the k-LSM's sensitivity).
+// queue interface so `cpq_bench_cli --preset=ablation-klsm-components` can
+// demonstrate exactly that: the DLSM scales embarrassingly but gives only
+// thread-local ordering, the SLSM gives the global k+1 guarantee but
+// centralizes contention, and the k-LSM sits between them depending on
+// which component carries the load (the paper's §G explanation for the
+// k-LSM's sensitivity).
 #pragma once
 
 #include <algorithm>

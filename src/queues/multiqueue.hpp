@@ -6,7 +6,7 @@
 // ("power of two choices"). The tuning parameter c is 4 in the paper's
 // benchmarks. No hard bound on the rank of deleted items is known, but the
 // observed rank error grows only linearly with the thread count (paper
-// Tables 1-5, reproduced by bench_table1_rank_error).
+// Tables 1-5, reproduced by `cpq_bench_cli --preset=table1`).
 //
 // The per-queue minimum is mirrored into an atomic so that the two-choice
 // comparison does not need to take locks; it is refreshed by whoever holds

@@ -189,14 +189,28 @@ class SkiplistBase {
       Node* curr = unpack(pred_word);
       for (;;) {
         if (curr == tail_) break;
-        const std::uintptr_t curr_word =
+        std::uintptr_t curr_word =
             curr->next[level].load(std::memory_order_acquire);
         Node* next = unpack(curr_word);
         // Start pulling the successor while we compare/snip curr: the
         // traversal is a dependent-load chain, and the next hop's header
         // line is the one miss we can overlap with this iteration.
         if (next != nullptr) prefetch_read(next);
-        if (is_marked(curr)) {
+        // At level 0 the mark and the successor must come from the SAME
+        // word: a successor read before a separate mark test may predate a
+        // node linked after curr just before curr was marked, and snipping
+        // with it would unlink that live node too. Once marked, curr's
+        // level-0 word only changes when a marked successor is snipped.
+        // Above level 0 the mark lives in another word, so reload the
+        // successor after seeing it (losing an index link there only
+        // costs search time, never an item).
+        const bool marked =
+            level == 0 ? word_marked(curr_word) : is_marked(curr);
+        if (marked) {
+          if (level != 0) {
+            curr_word = curr->next[level].load(std::memory_order_acquire);
+            next = unpack(curr_word);
+          }
           // Snip curr out of this level (preserving pred's own level-0 mark
           // bit). Failure means pred's chain changed; reload and continue.
           const std::uintptr_t desired = pack(next, word_marked(pred_word));

@@ -48,7 +48,7 @@
 // and adds its own — buffered tasks are invisible to other threads until
 // flushed, and prefetched tasks are delivered in batch order. Rank error
 // therefore grows with insert_batch * shards + delete_batch (measured by
-// bench/bench_service.cpp). Conservation (exactly-once delivery) is NOT
+// `cpq_bench_cli --mode=service`). Conservation (exactly-once delivery) is NOT
 // relaxed: every accepted task is delivered exactly once, recovered by
 // drain(), or (with deadlines enabled) shed exactly once through the shed
 // sink; handles flush their insertion buffer and spill unconsumed prefetched

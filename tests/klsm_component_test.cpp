@@ -1,7 +1,7 @@
-// Component tests for the k-LSM internals: Block claim semantics and
-// claim-merge exactly-once behaviour, BlockArray minimum search, the
-// ThreadLocalLsm (DLSM) including concurrent spy stealing, and the SLSM's
-// pivot-range relaxation guarantee.
+// Component tests for the k-LSM internals: Block claim semantics, its
+// packed claim words and claim-merge exactly-once behaviour, BlockArray
+// minimum search, the ThreadLocalLsm (DLSM) including concurrent spy
+// stealing, and the SLSM's pivot-range relaxation guarantee.
 
 #include <gtest/gtest.h>
 
@@ -150,6 +150,145 @@ TEST(Block, ConcurrentMergeAndClaimDeliverExactlyOnce) {
     ASSERT_EQ(total, 2 * n);
     a->unref();
     b->unref();
+  }
+}
+
+// ---- claim words ---------------------------------------------------------
+//
+// Each 64 slots share one packed claim word; bits past slot_count() in the
+// last word start claimed. Sizes straddle every word boundary case: a lone
+// slot, one short of a word, exactly one word, one past it, two words, and
+// a block whose last word holds a single real slot.
+
+std::vector<std::pair<K, V>> sequential_items(std::uint32_t n) {
+  std::vector<std::pair<K, V>> items;
+  for (std::uint32_t i = 0; i < n; ++i) items.emplace_back(i, 1000 + i);
+  return items;
+}
+
+const std::uint32_t kWordEdgeSizes[] = {1, 63, 64, 65, 127, 128, 129, 4097};
+
+TEST(BlockClaimWords, EverySizeClaimsAndDrainsEachSlotOnce) {
+  for (const std::uint32_t n : kWordEdgeSizes) {
+    SCOPED_TRACE(n);
+    BlockT* drained = BlockT::create(sequential_items(n));
+    EXPECT_EQ(drained->first_live(), 0u);
+    std::vector<std::pair<K, V>> out;
+    drained->drain_into(out);
+    EXPECT_EQ(out, sequential_items(n));
+    EXPECT_EQ(drained->first_live(), n);
+    EXPECT_EQ(drained->live_estimate(), 0u);
+    out.clear();
+    drained->drain_into(out);
+    EXPECT_TRUE(out.empty());
+    drained->unref();
+
+    BlockT* claimed = BlockT::create(sequential_items(n));
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(claimed->first_live(), i);
+      ASSERT_TRUE(claimed->claim(i));
+      ASSERT_FALSE(claimed->claim(i));
+    }
+    EXPECT_EQ(claimed->first_live(), n);
+    EXPECT_EQ(claimed->next_live(0, n), n);
+    claimed->unref();
+  }
+}
+
+TEST(BlockClaimWords, FirstAndNextLiveCrossWordBoundaries) {
+  // Words cover [0,64) [64,128) [128,192) and [192,200).
+  constexpr std::uint32_t n = 200;
+  BlockT* block = BlockT::create(sequential_items(n));
+  const std::set<std::uint32_t> live = {63, 64, 127, 128, 199};
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (live.count(i) == 0) {
+      ASSERT_TRUE(block->claim(i));
+    }
+  }
+  EXPECT_EQ(block->first_live(), 63u);
+  EXPECT_EQ(block->next_live(0, n), 63u);
+  EXPECT_EQ(block->next_live(64, n), 64u);
+  EXPECT_EQ(block->next_live(65, n), 127u);
+  EXPECT_EQ(block->next_live(128, n), 128u);
+  EXPECT_EQ(block->next_live(129, n), 199u);
+  // The limit bounds the walk: nothing live in [65, 127) or [129, 199).
+  EXPECT_EQ(block->next_live(65, 127), 127u);
+  EXPECT_EQ(block->next_live(129, 199), 199u);
+  EXPECT_EQ(block->next_live(10, 10), 10u);
+  // Claiming the front word's last live slot moves the head into word 1.
+  ASSERT_TRUE(block->claim(63));
+  EXPECT_EQ(block->first_live(), 64u);
+  ASSERT_TRUE(block->claim(64));
+  ASSERT_TRUE(block->claim(127));
+  EXPECT_EQ(block->first_live(), 128u);
+  std::vector<std::pair<K, V>> out;
+  block->drain_into(out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].first, 128u);
+  EXPECT_EQ(out[1].first, 199u);
+  block->unref();
+}
+
+TEST(BlockClaimWords, PaddingBitsAreNeverClaimedOrDrained) {
+  for (const std::uint32_t n : kWordEdgeSizes) {
+    SCOPED_TRACE(n);
+    BlockT* block = BlockT::create(sequential_items(n));
+    // Walking live slots from 0 visits exactly the n real slots.
+    std::uint32_t visited = 0;
+    for (std::uint32_t s = block->next_live(0, n); s < n;
+         s = block->next_live(s + 1, n)) {
+      ASSERT_EQ(s, visited);
+      ++visited;
+    }
+    EXPECT_EQ(visited, n);
+    // With only the last real slot live, the drain exchanges the last word
+    // and must emit that one slot, none of the padding behind it.
+    for (std::uint32_t i = 0; i + 1 < n; ++i) ASSERT_TRUE(block->claim(i));
+    EXPECT_EQ(block->first_live(), n - 1);
+    std::vector<std::pair<K, V>> out;
+    block->drain_into(out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].first, K{n - 1});
+    EXPECT_EQ(block->first_live(), n);
+    block->unref();
+  }
+}
+
+// A drain exchanges whole words while claimants flip single bits of the
+// same words: every item goes to exactly one side.
+TEST(BlockClaimWords, DrainRacingBitClaimsDeliversExactlyOnce) {
+  for (int round = 0; round < 30; ++round) {
+    constexpr std::uint32_t n = 4097;
+    BlockT* block = BlockT::create(sequential_items(n));
+    std::vector<std::pair<K, V>> drained;
+    std::vector<V> claimed[2];
+    run_team(3, [&](unsigned tid) {
+      if (tid == 0) {
+        block->drain_into(drained);
+        return;
+      }
+      // Claimants interleave within every word, from opposite ends.
+      for (std::uint32_t j = 0; j < n; ++j) {
+        const std::uint32_t i = tid == 1 ? j : n - 1 - j;
+        if (i % 3 != tid - 1 && block->claim(i)) {
+          claimed[tid - 1].push_back(block->slot(i).value);
+        }
+      }
+    });
+    EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end()));
+    std::set<V> all;
+    std::size_t total = 0;
+    auto account = [&](V v) {
+      EXPECT_TRUE(all.insert(v).second) << "value " << v << " twice";
+      ++total;
+    };
+    for (auto& [k, v] : drained) account(v);
+    for (const auto& side : claimed) {
+      for (V v : side) account(v);
+    }
+    ASSERT_EQ(total, n);
+    EXPECT_EQ(block->first_live(), n);
+    block->unref();
   }
 }
 
@@ -501,22 +640,26 @@ TEST(DlsmStaging, FlushBoundaryMaterializesBlock) {
 
 TEST(DlsmStaging, StaleClaimFailsAfterSlotReuse) {
   // Pin a staged slot's incarnation via peek, force a flush + refill that
-  // reuses the slot, then verify the stale claim CAS is rejected.
-  ThreadLocalLsm<K, V> lsm;
-  lsm.insert(5, 100);  // lands in staging slot 0
-  ThreadLocalLsm<K, V>::PeekResult stale;
-  ASSERT_TRUE(lsm.peek_local_min(stale));
-  ASSERT_TRUE(stale.staged);
-  // Fill the buffer so the flush runs, then refill slot 0 with a new item.
+  // reuses the slot, then verify the stale claim CAS is rejected. After
+  // exactly kStagingSlots refills slot 0 is again the only ready slot, so
+  // the stale and the current stage word differ only in the flush epoch.
   const std::uint32_t n = ThreadLocalLsm<K, V>::kStagingSlots;
-  for (std::uint32_t i = 0; i < n + 1; ++i) lsm.insert(1000 + i, 200 + i);
-  K k;
-  V v;
-  EXPECT_FALSE(lsm.claim_peeked(stale, k, v));
-  // Every item is still delivered exactly once.
-  std::set<V> values;
-  while (lsm.delete_local_min(k, v)) EXPECT_TRUE(values.insert(v).second);
-  EXPECT_EQ(values.size(), n + 2);
+  for (const std::uint32_t refills : {n, n + 1}) {
+    SCOPED_TRACE(refills);
+    ThreadLocalLsm<K, V> lsm;
+    lsm.insert(5, 100);  // lands in staging slot 0
+    ThreadLocalLsm<K, V>::PeekResult stale;
+    ASSERT_TRUE(lsm.peek_local_min(stale));
+    ASSERT_TRUE(stale.staged);
+    for (std::uint32_t i = 0; i < refills; ++i) lsm.insert(1000 + i, 200 + i);
+    K k;
+    V v;
+    EXPECT_FALSE(lsm.claim_peeked(stale, k, v));
+    // Every item is still delivered exactly once.
+    std::set<V> values;
+    while (lsm.delete_local_min(k, v)) EXPECT_TRUE(values.insert(v).second);
+    EXPECT_EQ(values.size(), refills + 1);
+  }
 }
 
 TEST(DlsmStaging, SpyStealsStagedItems) {
@@ -641,6 +784,42 @@ TEST(Slsm, BatchInsertMergesCascade) {
   V value;
   ASSERT_TRUE(slsm.delete_min(key, value, rng));
   EXPECT_LE(key, 16u);  // one of the 17 smallest keys (0..16)
+}
+
+// compute_pivots walks claim words to skip claimed holes: the k+1 smallest
+// live items it selects lie in different words of one block, separated by
+// whole words of claimed slots.
+TEST(Slsm, PivotsSkipClaimedSlotsAcrossWords) {
+  constexpr std::uint64_t k = 4;
+  Slsm<K, V> slsm(k);
+  slsm.insert_batch(sequential_items(300));
+  ArrayT* array = slsm.current_array();
+  ASSERT_EQ(array->count, 1u);
+  EXPECT_EQ(array->pivot_end[0].load(), k + 1);
+  const std::set<K> smallest_live = {64, 129, 191, 192, 193};
+  for (std::uint32_t i = 0; i < 194; ++i) {
+    if (smallest_live.count(i) == 0) {
+      ASSERT_TRUE(array->blocks[0]->claim(i));
+    }
+  }
+  // The next publication carries the block over and recomputes the pivots.
+  slsm.insert(100000, 0);
+  array = slsm.current_array();
+  ASSERT_EQ(array->count, 2u);
+  EXPECT_EQ(array->pivot_end[0].load(), 194u);
+  EXPECT_EQ(array->pivot_end[1].load(), 0u);
+  // The range holds exactly the k+1 smallest live items, so the next k+1
+  // deletions return them, in some order.
+  Xoroshiro128 rng(7);
+  std::set<K> got;
+  for (std::uint64_t i = 0; i <= k; ++i) {
+    K key;
+    V value;
+    ASSERT_TRUE(slsm.delete_min(key, value, rng));
+    EXPECT_EQ(value, 1000 + key);
+    got.insert(key);
+  }
+  EXPECT_EQ(got, smallest_live);
 }
 
 TEST(Slsm, ConcurrentInsertDeleteExactlyOnce) {

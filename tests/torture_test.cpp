@@ -354,25 +354,37 @@ TEST_F(EngMqTortureTest, InjectedLockAndBufferSeamsStayConservative) {
 // The typed suite covers the k-LSM under uniform injection; this fixture
 // focuses every firing on the merge path's own seams — block.claim /
 // block.drain (the claim-move transfer the new kernel path drives),
-// slsm.publish / dlsm.publish (array replacement while merges run), and
-// arena.alloc (the pooled block storage) — at a 5% rate, the same targeted
-// pattern EngMqTortureTest uses for the buffer seams.
+// slsm.publish / dlsm.publish (array replacement while merges run),
+// arena.alloc (the pooled block storage), and the DLSM staging word's
+// dlsm.stage / dlsm.flush_claim / dlsm.steal — at a 5% rate, the same
+// targeted pattern EngMqTortureTest uses for the buffer seams.
 class KLsmTortureTest : public ::testing::Test {
  protected:
   void TearDown() override { validation::fault_injection_configure(0, 42); }
 
+  // 60/40 insert/delete on every thread, or with `split` two producers and
+  // two consumers: the consumers' own LSMs stay empty, so their deletions
+  // spy on the producers' DLSMs and staged items. Consumers keep deleting
+  // until both producers are done, so the two sides always overlap.
   template <typename Q>
-  void contended_mix(std::uint64_t seed, std::uint64_t relaxation) {
+  void contended_mix(std::uint64_t seed, std::uint64_t relaxation,
+                     bool split = false) {
     constexpr unsigned kThreads = 4;
     constexpr std::uint64_t kOpsPerThread = 6000;
     validation::CheckedQueue<Q> queue(
         kThreads, std::make_unique<Q>(kThreads, relaxation));
+    std::atomic<unsigned> producers_left{kThreads / 2};
     run_team(kThreads, [&](unsigned tid) {
       auto handle = queue.get_handle(tid);
       Xoroshiro128 rng(thread_seed(seed, tid));
+      const bool producer = split && tid < kThreads / 2;
       std::uint64_t inserted = 0;
-      for (std::uint64_t op = 0; op < kOpsPerThread; ++op) {
-        if (rng.next_below(100) < 60) {
+      for (std::uint64_t op = 0;
+           op < kOpsPerThread ||
+           (split && !producer &&
+            producers_left.load(std::memory_order_acquire) > 0);
+           ++op) {
+        if (split ? producer : rng.next_below(100) < 60) {
           handle.insert(rng.next_below(1u << 10), value_of(tid, inserted++));
         } else {
           K k;
@@ -380,6 +392,7 @@ class KLsmTortureTest : public ::testing::Test {
           handle.delete_min(k, v);
         }
       }
+      if (producer) producers_left.fetch_sub(1, std::memory_order_release);
     });
     const validation::ReconcileReport report = queue.reconcile();
     EXPECT_TRUE(report.ok()) << report.to_string();
@@ -416,6 +429,30 @@ TEST_F(KLsmTortureTest, InjectedArenaSeamStaysConservative) {
   contended_mix<KLsmQueue<K, V>>(0x7055, /*relaxation=*/128);
   EXPECT_GT(validation::fault_injections_fired(), before)
       << "arena.alloc seam compiled in but never crossed";
+}
+
+// The DLSM staging word: every insert sets a ready bit (dlsm.stage), every
+// flush swaps in the next epoch (dlsm.flush_claim), every spy clears all
+// ready bits with one CAS (dlsm.steal), and array publication races spies
+// (dlsm.publish). Each seam gets its own run so each is shown to fire. k = 0
+// sends every insert down the overflow path (stage, flush, publish, SLSM
+// batch), so the producers' staged items are exposed to the consumers'
+// spies once per insert rather than once per spy of a whole k-item DLSM.
+TEST_F(KLsmTortureTest, InjectedDlsmStagingSeamsStayConservative) {
+  const char* const seams[] = {"dlsm.stage", "dlsm.flush_claim", "dlsm.steal",
+                               "dlsm.publish"};
+  std::uint64_t seed = 0x7060;
+  for (const char* seam : seams) {
+    SCOPED_TRACE(seam);
+    validation::fault_injection_configure(/*ppm=*/50'000, seed++,
+                                          validation::FaultAction::kDelay,
+                                          seam);
+    const std::uint64_t before = validation::fault_injections_fired();
+    contended_mix<KLsmQueue<K, V>>(seed++, /*relaxation=*/0,
+                                   /*split=*/true);
+    EXPECT_GT(validation::fault_injections_fired(), before)
+        << seam << " seam compiled in but never crossed";
+  }
 }
 
 TEST_F(KLsmTortureTest, StandaloneComponentsUnderMergeSeamInjection) {
