@@ -8,7 +8,10 @@
 //   * insertion buffers — each handle stages up to `ins_buffer` items in a
 //     small sorted thread-local array and flushes them into ONE locked
 //     queue in ONE lock acquisition, amortizing the lock hand-off (and its
-//     cache-line ping-pong) across the whole batch;
+//     cache-line ping-pong) across the whole batch. Callers that already
+//     batch (the PriorityService flush) skip the staging array through
+//     Handle::insert_batch(items, n): one sticky lock acquisition lands all
+//     n items in the heap, visible to every handle once it returns;
 //   * deletion buffers — delete_min pops up to `del_buffer` minima from the
 //     two-choice winner under ONE lock acquisition and serves subsequent
 //     calls from the thread-local batch with no shared-memory traffic;
@@ -35,7 +38,9 @@
 // Fault-injection seams (kDelay-safe; flush/refill are additionally
 // kThrow-safe because they fire before the lock is taken and the buffers
 // are only cleared after the locked work committed):
-//   mq_eng.flush   — entry of an insertion-buffer flush
+//   mq_eng.flush   — entry of insert_batch: every insertion-buffer flush,
+//                    every unbuffered (ins_buffer = 0) insert, and every
+//                    caller-supplied batch
 //   mq_eng.refill  — entry of a deletion-buffer refill
 //   mq_eng.spill   — entry of the destructor spill (delay-only: a throw
 //                    here would escape a destructor)
@@ -153,7 +158,8 @@ class EngMultiQueue {
     void insert(Key key, Value value) {
       const unsigned cap = queue_->cfg_.ins_buffer;
       if (cap == 0) {
-        insert_direct(key, value);
+        const Item item{key, value};
+        insert_batch(&item, 1);
         return;
       }
       // Kept sorted descending so the staged minimum is back(): delete_min
@@ -162,7 +168,12 @@ class EngMultiQueue {
           ins_buf_.begin(), ins_buf_.end(), key,
           [](Key k, const Item& item) { return k > item.first; });
       ins_buf_.insert(pos, Item{key, value});
-      if (ins_buf_.size() >= cap) flush_ins_buffer();
+      if (ins_buf_.size() >= cap) {
+        // Cleared only after the batch landed: a throw leaves it staged for
+        // the destructor spill.
+        insert_batch(ins_buf_.data(), ins_buf_.size());
+        ins_buf_.clear();
+      }
     }
 
     bool delete_min(Key& key_out, Value& value_out) {
@@ -191,17 +202,17 @@ class EngMultiQueue {
       return false;
     }
 
-   private:
-    friend class EngMultiQueue;
-    using LocalQueue = detail::MqLocalQueue<Key, Value, SeqQueue>;
-    static constexpr unsigned kMaxAttempts = 64;
-
-    void insert_direct(Key key, Value value) {
+    // Land `n` items in ONE sticky local queue under ONE lock acquisition
+    // (redrawn on a failed try_lock), bypassing the insertion buffer: the
+    // items are visible to every handle once this returns. Fires the
+    // mq_eng.flush seam before locking, so a throw inserts nothing.
+    void insert_batch(const Item* items, std::size_t n) {
+      CPQ_INJECT("mq_eng.flush");
       auto& queues = queue_->queues_;
-      const std::size_t n = queues.size();
+      const std::size_t count = queues.size();
       for (;;) {
         if (ins_uses_ == 0) {
-          ins_queue_ = rng_.next_below(n);
+          ins_queue_ = rng_.next_below(count);
           ins_uses_ = queue_->cfg_.stickiness;
         }
         LocalQueue& q = queues[ins_queue_].value;
@@ -210,7 +221,9 @@ class EngMultiQueue {
           ins_uses_ = 0;  // the sticky queue is hot — redraw
           continue;
         }
-        q.pq.insert(key, value);
+        for (std::size_t i = 0; i < n; ++i) {
+          q.pq.insert(items[i].first, items[i].second);
+        }
         q.refresh_min();
         q.lock.unlock();
         --ins_uses_;
@@ -218,32 +231,10 @@ class EngMultiQueue {
       }
     }
 
-    // One lock acquisition lands the whole staged batch. Fires the
-    // injection seam before locking: a throw leaves the buffer intact for
-    // the destructor spill, so conservation holds.
-    void flush_ins_buffer() {
-      CPQ_INJECT("mq_eng.flush");
-      auto& queues = queue_->queues_;
-      const std::size_t n = queues.size();
-      for (;;) {
-        if (ins_uses_ == 0) {
-          ins_queue_ = rng_.next_below(n);
-          ins_uses_ = queue_->cfg_.stickiness;
-        }
-        LocalQueue& q = queues[ins_queue_].value;
-        if (!q.lock.try_lock()) {
-          CPQ_COUNT(kLockRetry);
-          ins_uses_ = 0;
-          continue;
-        }
-        for (const Item& item : ins_buf_) q.pq.insert(item.first, item.second);
-        q.refresh_min();
-        q.lock.unlock();
-        --ins_uses_;
-        ins_buf_.clear();
-        return;
-      }
-    }
+   private:
+    friend class EngMultiQueue;
+    using LocalQueue = detail::MqLocalQueue<Key, Value, SeqQueue>;
+    static constexpr unsigned kMaxAttempts = 64;
 
     // Two-choice refill: pop up to del_buffer minima from the winner under
     // one lock. Leaves del_buf_ empty when every queue is (momentarily)

@@ -15,7 +15,13 @@
 //     synchronization over `insert_batch` tasks). The target shard is the
 //     less loaded of two uniformly random choices, which keeps shard sizes
 //     balanced within O(log log S) whp. A configurable flush deadline bounds
-//     how long a task may sit unpublished in a buffer.
+//     how long a task may sit unpublished in a buffer. A task is encoded
+//     (deadline envelope) when it is buffered. A shard handle with
+//     insert_batch(items, n) (mq-eng) takes the whole batch in one call,
+//     under one lock, bypassing its own staging buffer, so this is the
+//     only insertion buffer such a task passes through and it is visible
+//     to every consumer as soon as flush() returns. Other shard queues are
+//     fed the batch one insert at a time.
 //   * a deletion buffer: pops refill thread-locally in batches of
 //     `delete_batch` from the shard whose last observed minimum is smaller
 //     (two-choice routing on pop); when the favoured shard is empty the
@@ -57,7 +63,9 @@
 //
 // Counters: per-shard (enqueued, dequeued, flushes, refills, steals, shed,
 // breaker trips, batch fill) and service-wide (submitted, rejected, tier
-// rejections, retries, re-routes, shed, deadline flushes), readable via
+// rejections, retries, re-routes, shed, deadline flushes). The shard's
+// load and minimum hints and its enqueued/dequeued counts are updated once
+// per flush or refill batch, not per task. They are readable via
 // stats() and dumpable through dump_stats() — which the open-loop bench
 // installs as the watchdog's diagnostics callback, so a livelocked service
 // run dies with a per-shard picture of where tasks piled up.
@@ -141,7 +149,8 @@ struct ServiceConfig {
 struct ShardStats {
   std::uint64_t enqueued = 0;   // tasks flushed into the shard
   std::uint64_t dequeued = 0;   // tasks popped out of the shard
-  std::uint64_t flushes = 0;    // insertion-buffer flushes landing here
+  std::uint64_t flushes = 0;    // insertion-buffer flushes landing here,
+                                // a handle's teardown spill included
   std::uint64_t refills = 0;    // deletion-buffer refills served here
   std::uint64_t steals = 0;     // refills served when not the routed choice
   std::uint64_t breaker_trips = 0;  // circuit-breaker trips on this shard
@@ -176,6 +185,15 @@ class PriorityService {
   using value_type = typename Q::value_type;
   using InnerHandle = decltype(std::declval<Q&>().get_handle(0u));
   using ShedSink = std::function<void(key_type, value_type)>;
+  // A task as the shard stores it: key plus (possibly enveloped) value.
+  using Item = std::pair<key_type, value_type>;
+
+  // Shard handles that take a whole flush in one call (mq-eng); every other
+  // queue is fed the batch one insert at a time.
+  static constexpr bool kBatchInsert =
+      requires(InnerHandle& handle, const Item* items, std::size_t n) {
+        handle.insert_batch(items, n);
+      };
 
   // Deadline envelopes replace the queue value with a tagged DeadlinePool
   // slot index; only unsigned 64-bit value types have the spare top bit.
@@ -348,23 +366,23 @@ class PriorityService {
 
     ~Handle() {
       if (service_ == nullptr) return;  // moved from
-      flush(false);
-      // Spill prefetched-but-unconsumed tasks back into a shard so they stay
-      // deliverable (their in-flight slots are still held, correctly).
-      while (dpos_ < dbuf_.size()) {
-        const std::size_t s = rng_.next_below(service_->shards_.size());
+      // Prefetched-but-unconsumed tasks ride the final flush back into a
+      // shard so they stay deliverable (their in-flight slots are still
+      // held, correctly).
+      for (; dpos_ < dbuf_.size(); ++dpos_) {
         const Task& task = dbuf_[dpos_];
-        service_->shards_[s].value.push(inner_[s], task.key,
-                                        service_->encode(task));
-        ++dpos_;
+        ibuf_.emplace_back(task.key,
+                           service_->encode(task.value, task.deadline_us));
       }
+      flush(false);
     }
 
    private:
     friend class PriorityService;
 
-    // A buffered task: deadline_us is the absolute steady-clock expiry
-    // (steady_now_us() domain), 0 when the task has no deadline.
+    // A decoded task in the deletion buffer: deadline_us is the absolute
+    // steady-clock expiry (steady_now_us() domain), 0 when the task has no
+    // deadline.
     struct Task {
       key_type key;
       value_type value;
@@ -406,7 +424,7 @@ class PriorityService {
       if (ibuf_.empty()) ibuf_oldest_ = std::chrono::steady_clock::now();
       const std::uint64_t deadline =
           ttl_us != 0 ? steady_now_us() + ttl_us : 0;
-      ibuf_.push_back(Task{key, value, deadline});
+      ibuf_.emplace_back(key, service_->encode(value, deadline));
       if (ibuf_.size() >= config().insert_batch) {
         flush(false);
       } else if (config().flush_deadline_us != 0 && deadline_expired()) {
@@ -441,9 +459,14 @@ class PriorityService {
       // batch to note_batch, or the breaker could never detect it.
       const std::uint64_t t0 = steady_now_us();
       shard.chaos_pause();
-      for (const Task& task : ibuf_) {
-        shard.push(inner_[a], task.key, service_->encode(task));
+      if constexpr (kBatchInsert) {
+        inner_[a].insert_batch(ibuf_.data(), ibuf_.size());
+      } else {
+        for (const Item& item : ibuf_) {
+          inner_[a].insert(item.first, item.second);
+        }
       }
+      shard.note_pushed(ibuf_);
       service_->note_batch(shard, t0);
       CPQ_COUNT(kServiceFlush);
       shard.flushes.fetch_add(1, std::memory_order_relaxed);
@@ -452,6 +475,8 @@ class PriorityService {
         CPQ_COUNT(kServiceDeadlineFlush);
         service_->deadline_flushes_.fetch_add(1, std::memory_order_relaxed);
       }
+      // Cleared only once the shard took the batch: a throw above leaves
+      // every task buffered for the next flush.
       ibuf_.clear();
     }
 
@@ -556,7 +581,7 @@ class PriorityService {
 
     PriorityService* service_;
     std::vector<InnerHandle> inner_;  // one per shard
-    std::vector<Task> ibuf_;
+    std::vector<Item> ibuf_;          // encoded, as the shard receives them
     std::chrono::steady_clock::time_point ibuf_oldest_{};
     std::vector<Task> dbuf_;
     std::size_t dpos_ = 0;
@@ -795,15 +820,18 @@ class PriorityService {
     std::atomic<std::uint64_t> flush_fill{0};
     std::atomic<std::uint64_t> refill_fill{0};
 
-    void push(InnerHandle& handle, key_type key, value_type value) {
-      handle.insert(key, value);
-      size.fetch_add(1, std::memory_order_relaxed);
-      enqueued.fetch_add(1, std::memory_order_relaxed);
+    // Load, count and minimum-hint bookkeeping for one non-empty flushed
+    // batch: two fetch_adds and one CAS-min loop on the batch minimum.
+    void note_pushed(const std::vector<Item>& batch) noexcept {
+      key_type lo = batch.front().first;
+      for (const Item& item : batch) lo = std::min(lo, item.first);
+      size.fetch_add(batch.size(), std::memory_order_relaxed);
+      enqueued.fetch_add(batch.size(), std::memory_order_relaxed);
       // Monotone CAS-min keeps the hint a lower-ish bound on the content.
       key_type seen = min_hint.load(std::memory_order_relaxed);
-      while (key < seen && !min_hint.compare_exchange_weak(
-                               seen, key, std::memory_order_release,
-                               std::memory_order_relaxed)) {
+      while (lo < seen && !min_hint.compare_exchange_weak(
+                              seen, lo, std::memory_order_release,
+                              std::memory_order_relaxed)) {
       }
     }
 
@@ -844,17 +872,17 @@ class PriorityService {
   // DeadlinePool slot, the value becomes the tagged slot index; otherwise
   // (no deadline, pool exhausted, or non-envelope value type) the raw value
   // travels untouched and the task simply cannot be shed.
-  value_type encode(const Task& task) noexcept {
+  value_type encode(value_type value, std::uint64_t deadline_us) noexcept {
     if constexpr (kDeadlineCapable) {
-      if (task.deadline_us != 0 && pool_ != nullptr) {
+      if (deadline_us != 0 && pool_ != nullptr) {
         std::uint32_t slot = 0;
-        if (pool_->acquire(task.value, task.deadline_us, slot)) {
+        if (pool_->acquire(value, deadline_us, slot)) {
           return static_cast<value_type>(kEnvelopeTag |
                                          static_cast<std::uint64_t>(slot));
         }
       }
     }
-    return task.value;
+    return value;
   }
 
   Task decode(key_type key, value_type value) noexcept {

@@ -1,7 +1,10 @@
 // Unit tests for the PriorityService dispatch layer: delivery and ordering
 // under batching, admission control (reject and blocking backpressure),
 // deadline flushing, close()/drain() shutdown, per-shard counters, and the
-// open-loop service bench harness (including its CheckedQueue mode).
+// open-loop service bench harness (including its CheckedQueue mode). The
+// batching and bookkeeping cases run over two shard types: a strict
+// global-lock heap, and mq-eng, whose handles have an insertion buffer of
+// their own that a service flush must not strand tasks in.
 
 #include <gtest/gtest.h>
 
@@ -9,12 +12,14 @@
 #include <cstdint>
 #include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "platform/rng.hpp"
 #include "platform/thread_util.hpp"
 #include "queues/globallock.hpp"
 #include "queues/multiqueue.hpp"
+#include "queues/multiqueue_eng.hpp"
 #include "service/priority_service.hpp"
 #include "service/service_bench.hpp"
 #include "validation/checked_queue.hpp"
@@ -25,11 +30,27 @@ namespace {
 using K = std::uint64_t;
 using V = std::uint64_t;
 using Lock = GlobalLockQueue<K, V>;
+using MqEng = EngMultiQueue<K, V>;
 
-std::unique_ptr<PriorityService<Lock>> make_lock_service(
-    unsigned threads, const ServiceConfig& cfg) {
-  return std::make_unique<PriorityService<Lock>>(
-      threads, cfg, [&](unsigned) { return std::make_unique<Lock>(threads); });
+template <typename Q>
+std::unique_ptr<PriorityService<Q>> make_service(unsigned threads,
+                                                 const ServiceConfig& cfg) {
+  return std::make_unique<PriorityService<Q>>(
+      threads, cfg, [&](unsigned) { return std::make_unique<Q>(threads); });
+}
+
+// Runs `body(std::type_identity<Q>{})` once per shard type: the global-lock
+// heap, then mq-eng with its default MqEngConfig (16-slot insertion buffer).
+template <typename Body>
+void for_each_shard_type(Body&& body) {
+  {
+    SCOPED_TRACE("glock shards");
+    body(std::type_identity<Lock>{});
+  }
+  {
+    SCOPED_TRACE("mq-eng shards");
+    body(std::type_identity<MqEng>{});
+  }
 }
 
 TEST(PriorityService, SingleShardUnbatchedIsStrictlyOrdered) {
@@ -37,7 +58,7 @@ TEST(PriorityService, SingleShardUnbatchedIsStrictlyOrdered) {
   cfg.shards = 1;
   cfg.insert_batch = 1;
   cfg.delete_batch = 1;
-  auto service = make_lock_service(1, cfg);
+  auto service = make_service<Lock>(1, cfg);
   auto handle = service->get_handle(0);
   for (K key : {9u, 3u, 7u, 1u, 5u}) handle.insert(key, key * 10);
   K key;
@@ -51,33 +72,38 @@ TEST(PriorityService, SingleShardUnbatchedIsStrictlyOrdered) {
 }
 
 TEST(PriorityService, BufferedInsertsPublishOnBatchOrExplicitFlush) {
-  ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 4;
-  auto service = make_lock_service(2, cfg);
-  auto producer = service->get_handle(0);
-  auto consumer = service->get_handle(1);
+  for_each_shard_type([](auto shard) {
+    using Q = typename decltype(shard)::type;
+    ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.insert_batch = 4;
+    auto service = make_service<Q>(2, cfg);
+    auto producer = service->get_handle(0);
+    auto consumer = service->get_handle(1);
 
-  producer.insert(1, 1);
-  producer.insert(2, 2);
-  EXPECT_EQ(producer.buffered_inserts(), 2u);
-  K key;
-  V value;
-  // Buffered tasks are invisible to other handles until a flush.
-  EXPECT_FALSE(consumer.delete_min(key, value));
+    producer.insert(1, 1);
+    producer.insert(2, 2);
+    EXPECT_EQ(producer.buffered_inserts(), 2u);
+    K key;
+    V value;
+    // Buffered tasks are invisible to other handles until a flush.
+    EXPECT_FALSE(consumer.delete_min(key, value));
 
-  producer.insert(3, 3);
-  producer.insert(4, 4);  // batch full: auto-flush
-  EXPECT_EQ(producer.buffered_inserts(), 0u);
-  EXPECT_TRUE(consumer.delete_min(key, value));
-  EXPECT_EQ(key, 1u);
+    producer.insert(3, 3);
+    producer.insert(4, 4);  // batch full: auto-flush
+    EXPECT_EQ(producer.buffered_inserts(), 0u);
+    // A flushed batch is visible to every other handle at once — it must
+    // not wait in a shard handle's own insertion buffer.
+    EXPECT_TRUE(consumer.delete_min(key, value));
+    EXPECT_EQ(key, 1u);
 
-  producer.insert(5, 5);
-  producer.flush();
-  EXPECT_EQ(producer.buffered_inserts(), 0u);
-  std::size_t rest = 0;
-  while (consumer.delete_min(key, value)) ++rest;
-  EXPECT_EQ(rest, 4u);
+    producer.insert(5, 5);
+    producer.flush();
+    EXPECT_EQ(producer.buffered_inserts(), 0u);
+    std::size_t rest = 0;
+    while (consumer.delete_min(key, value)) ++rest;
+    EXPECT_EQ(rest, 4u);
+  });
 }
 
 TEST(PriorityService, DeadlineForcesFlushOfStaleBuffer) {
@@ -85,7 +111,7 @@ TEST(PriorityService, DeadlineForcesFlushOfStaleBuffer) {
   cfg.shards = 1;
   cfg.insert_batch = 64;
   cfg.flush_deadline_us = 500;
-  auto service = make_lock_service(1, cfg);
+  auto service = make_service<Lock>(1, cfg);
   auto handle = service->get_handle(0);
   handle.insert(1, 1);
   EXPECT_EQ(handle.buffered_inserts(), 1u);
@@ -102,7 +128,7 @@ TEST(PriorityService, RejectPolicyBoundsInFlightWork) {
   cfg.delete_batch = 1;
   cfg.max_in_flight = 2;
   cfg.policy = AdmissionPolicy::kReject;
-  auto service = make_lock_service(1, cfg);
+  auto service = make_service<Lock>(1, cfg);
   auto handle = service->get_handle(0);
   EXPECT_TRUE(handle.try_submit(1, 1));
   EXPECT_TRUE(handle.try_submit(2, 2));
@@ -121,7 +147,7 @@ TEST(PriorityService, RejectPolicyBoundsInFlightWork) {
 TEST(PriorityService, CloseRejectsNewWorkButKeepsAcceptedDeliverable) {
   ServiceConfig cfg;
   cfg.shards = 2;
-  auto service = make_lock_service(1, cfg);
+  auto service = make_service<Lock>(1, cfg);
   auto handle = service->get_handle(0);
   handle.insert(1, 10);
   handle.insert(2, 20);
@@ -151,7 +177,7 @@ TEST(PriorityService, BackpressureDrainShutdownDropsNoTask) {
   cfg.delete_batch = 4;
   cfg.max_in_flight = 64;  // far below the offered total: submitters block
   cfg.policy = AdmissionPolicy::kBlock;
-  auto service = make_lock_service(kThreads, cfg);
+  auto service = make_service<Lock>(kThreads, cfg);
 
   std::atomic<unsigned> producers_done{0};
   std::vector<char> seen(kThreads * kPerProducer, 0);
@@ -208,7 +234,7 @@ TEST(PriorityService, CloseWakesBlockedSubmitters) {
   cfg.insert_batch = 1;
   cfg.max_in_flight = 1;
   cfg.policy = AdmissionPolicy::kBlock;
-  auto service = make_lock_service(2, cfg);
+  auto service = make_service<Lock>(2, cfg);
   auto warm = service->get_handle(0);
   warm.insert(1, 1);  // takes the only slot
 
@@ -227,55 +253,62 @@ TEST(PriorityService, CloseWakesBlockedSubmitters) {
 }
 
 TEST(PriorityService, StatsAccountForEveryFlushedAndPoppedTask) {
-  ServiceConfig cfg;
-  cfg.shards = 4;
-  cfg.insert_batch = 8;
-  cfg.delete_batch = 8;
-  auto service = make_lock_service(1, cfg);
-  {
-    auto handle = service->get_handle(0);
-    Xoroshiro128 rng(7);
-    for (std::uint64_t i = 0; i < 1000; ++i) {
-      handle.insert(rng.next_below(1u << 20), i);
+  for_each_shard_type([](auto shard_type) {
+    using Q = typename decltype(shard_type)::type;
+    ServiceConfig cfg;
+    cfg.shards = 4;
+    cfg.insert_batch = 8;
+    cfg.delete_batch = 8;
+    auto service = make_service<Q>(1, cfg);
+    {
+      auto handle = service->get_handle(0);
+      Xoroshiro128 rng(7);
+      for (std::uint64_t i = 0; i < 1000; ++i) {
+        handle.insert(rng.next_below(1u << 20), i);
+      }
+      handle.flush();
+      K key;
+      V value;
+      for (int i = 0; i < 500; ++i) {
+        ASSERT_TRUE(handle.delete_min(key, value));
+      }
+    }  // destructor spills the prefetched remainder back into the shards
+
+    const ServiceStats stats = service->stats();
+    EXPECT_EQ(stats.submitted, 1000u);
+    EXPECT_EQ(stats.delivered, 500u);
+    EXPECT_EQ(service->shard_count(), 4u);
+    ASSERT_EQ(stats.shards.size(), 4u);
+    std::uint64_t enqueued = 0;
+    std::uint64_t dequeued = 0;
+    std::size_t sized = 0;
+    for (const ShardStats& shard : stats.shards) {
+      enqueued += shard.enqueued;
+      dequeued += shard.dequeued;
+      sized += shard.approx_size;
     }
-    handle.flush();
-    K key;
-    V value;
-    for (int i = 0; i < 500; ++i) ASSERT_TRUE(handle.delete_min(key, value));
-  }  // destructor spills the prefetched remainder back into the shards
+    // Every submitted task was flushed into some shard, plus the destructor
+    // spill re-enqueued what sat in the deletion buffer; the per-batch
+    // bookkeeping still counts every task.
+    EXPECT_GE(enqueued, 1000u);
+    EXPECT_EQ(enqueued - dequeued, 500u);  // what is still stored
+    EXPECT_EQ(sized, 500u);
+    // 125 full batches, then the teardown spill as one more batch.
+    EXPECT_EQ(stats.flushes, 1000u / 8 + 1);
+    EXPECT_GT(stats.mean_insert_fill, 1.0);
+    EXPECT_GT(stats.mean_delete_fill, 1.0);
 
-  const ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.submitted, 1000u);
-  EXPECT_EQ(stats.delivered, 500u);
-  EXPECT_EQ(service->shard_count(), 4u);
-  ASSERT_EQ(stats.shards.size(), 4u);
-  std::uint64_t enqueued = 0;
-  std::uint64_t dequeued = 0;
-  std::size_t sized = 0;
-  for (const ShardStats& shard : stats.shards) {
-    enqueued += shard.enqueued;
-    dequeued += shard.dequeued;
-    sized += shard.approx_size;
-  }
-  // Every submitted task was flushed into some shard, plus the destructor
-  // spill re-enqueued what sat in the deletion buffer.
-  EXPECT_GE(enqueued, 1000u);
-  EXPECT_EQ(enqueued - dequeued, 500u);  // what is still stored
-  EXPECT_EQ(sized, 500u);
-  EXPECT_GE(stats.flushes, 1000u / 8);
-  EXPECT_GT(stats.mean_insert_fill, 1.0);
-  EXPECT_GT(stats.mean_delete_fill, 1.0);
-
-  std::size_t drained = 0;
-  service->drain([&](K, V) { ++drained; });
-  EXPECT_EQ(drained, 500u);
+    std::size_t drained = 0;
+    service->drain([&](K, V) { ++drained; });
+    EXPECT_EQ(drained, 500u);
+  });
 }
 
 TEST(PriorityService, TwoChoiceRoutingSpreadsLoadAcrossShards) {
   ServiceConfig cfg;
   cfg.shards = 4;
   cfg.insert_batch = 4;
-  auto service = make_lock_service(1, cfg);
+  auto service = make_service<Lock>(1, cfg);
   auto handle = service->get_handle(0);
   Xoroshiro128 rng(21);
   for (std::uint64_t i = 0; i < 4000; ++i) {

@@ -415,7 +415,9 @@ TEST(TelemetryPlane, RingOverwriteCountsDroppedRecords) {
   std::uint64_t retained = 0, prev_seq = 0;
   bool first = true;
   plane.visit_records([&](const TelemetryRecord& r) {
-    if (!first) EXPECT_GT(r.seq, prev_seq);
+    if (!first) {
+      EXPECT_GT(r.seq, prev_seq);
+    }
     prev_seq = r.seq;
     first = false;
     ++retained;
