@@ -50,7 +50,6 @@ enum class Counter : unsigned {
   kHazardScan,          // hazard-pointer scans
   kHazardRetire,        // nodes deferred to hazard-pointer reclamation
   kServiceFlush,        // insertion-buffer flushes (priority service)
-  kServiceDeadlineFlush,  // flushes forced by the deadline
   kServiceRefill,       // deletion-buffer refills from the routed shard
   kServiceSteal,        // refills served by stealing from another shard
   kServiceReject,       // admission rejections
@@ -70,9 +69,9 @@ inline const char* counter_name(unsigned index) noexcept {
       "cas_retry",      "lock_retry",    "backoff_pause",
       "ebr_retire",     "ebr_free",      "ebr_advance",
       "hazard_scan",    "hazard_retire", "service_flush",
-      "service_deadline_flush", "service_refill", "service_steal",
-      "service_reject", "service_shed", "service_tier_reject",
-      "service_retry", "service_breaker_trip", "service_reroute",
+      "service_refill", "service_steal", "service_reject",
+      "service_shed",   "service_tier_reject", "service_retry",
+      "service_breaker_trip", "service_reroute",
   };
   return index < kNumCounters ? names[index] : "?";
 }

@@ -14,14 +14,19 @@
 //     flushed to one shard as a batch (amortizing the shard's
 //     synchronization over `insert_batch` tasks). The target shard is the
 //     less loaded of two uniformly random choices, which keeps shard sizes
-//     balanced within O(log log S) whp. A configurable flush deadline bounds
-//     how long a task may sit unpublished in a buffer. A task is encoded
-//     (deadline envelope) when it is buffered. A shard handle with
-//     insert_batch(items, n) (mq-eng) takes the whole batch in one call,
-//     under one lock, bypassing its own staging buffer, so this is the
-//     only insertion buffer such a task passes through and it is visible
-//     to every consumer as soon as flush() returns. Other shard queues are
-//     fed the batch one insert at a time.
+//     balanced within O(log log S) whp. Batching is gated on the handle's
+//     own submission rate: a submission is buffered only while the running
+//     mean gap between the handle's submissions is below `batch_gap_ns`;
+//     otherwise the buffer, that task included, is flushed at once. A
+//     saturated producer therefore fills batches, while a slower one
+//     publishes every task instead of parking it behind submissions that
+//     are not coming. A task is encoded (deadline envelope) when it is
+//     buffered. A shard handle with insert_batch(items, n) (mq-eng) takes
+//     the whole batch in one call, under one lock, bypassing its own
+//     staging buffer, so this is the only insertion buffer such a task
+//     passes through and it is visible to every consumer as soon as
+//     flush() returns. Other shard queues are fed the batch one insert at
+//     a time.
 //   * a deletion buffer: pops refill thread-locally in batches of
 //     `delete_batch` from the shard whose last observed minimum is smaller
 //     (two-choice routing on pop); when the favoured shard is empty the
@@ -54,8 +59,10 @@
 // and adds its own — buffered tasks are invisible to other threads until
 // flushed, and prefetched tasks are delivered in batch order. Rank error
 // therefore grows with insert_batch * shards + delete_batch (measured by
-// `cpq_bench_cli --mode=service`). Conservation (exactly-once delivery) is NOT
-// relaxed: every accepted task is delivered exactly once, recovered by
+// `cpq_bench_cli --mode=service`). The insert_batch * shards term applies to
+// saturated producers only: a producer slower than one task per
+// batch_gap_ns publishes every task. Conservation (exactly-once delivery) is
+// NOT relaxed: every accepted task is delivered exactly once, recovered by
 // drain(), or (with deadlines enabled) shed exactly once through the shed
 // sink; handles flush their insertion buffer and spill unconsumed prefetched
 // tasks back to a shard on destruction. tests/torture_test.cpp audits this
@@ -63,12 +70,12 @@
 //
 // Counters: per-shard (enqueued, dequeued, flushes, refills, steals, shed,
 // breaker trips, batch fill) and service-wide (submitted, rejected, tier
-// rejections, retries, re-routes, shed, deadline flushes). The shard's
-// load and minimum hints and its enqueued/dequeued counts are updated once
-// per flush or refill batch, not per task. They are readable via
-// stats() and dumpable through dump_stats() — which the open-loop bench
-// installs as the watchdog's diagnostics callback, so a livelocked service
-// run dies with a per-shard picture of where tasks piled up.
+// rejections, retries, re-routes, shed). The shard's load and minimum
+// hints and its enqueued/dequeued counts are updated once per flush or
+// refill batch, not per task. They are readable via stats() and dumpable
+// through dump_stats() — which the open-loop bench installs as the
+// watchdog's diagnostics callback, so a livelocked service run dies with a
+// per-shard picture of where tasks piled up.
 //
 // Fault-injection seams: CPQ_INJECT("service/submit") and
 // CPQ_INJECT("service/delete_min") sit at the public entry points, before
@@ -94,6 +101,7 @@
 #include "obs/metrics.hpp"
 #include "platform/backoff.hpp"
 #include "platform/cache.hpp"
+#include "platform/clock.hpp"
 #include "platform/rng.hpp"
 #include "service/resilience.hpp"
 #include "validation/fault_injection.hpp"
@@ -109,13 +117,19 @@ enum class AdmissionPolicy : std::uint8_t {
 struct ServiceConfig {
   // Shard count; 0 means one shard per client thread (at least one).
   unsigned shards = 0;
-  // Insertion-buffer capacity per handle; 1 disables insert batching.
+  // Insertion-buffer capacity per handle: the batch size of a saturated
+  // producer. 1 disables insert batching.
   std::size_t insert_batch = 8;
   // Deletion-buffer refill size per handle; 1 disables pop batching.
   std::size_t delete_batch = 8;
-  // Flush the insertion buffer on the next submit once its oldest task has
-  // been buffered for this long; 0 disables deadline-based flushing.
-  std::uint64_t flush_deadline_us = 0;
+  // Insertion-batching gate. Each handle keeps a running mean (EWMA,
+  // alpha 1/8) of the gap between its own submissions; a submission is
+  // buffered only while that mean is below batch_gap_ns, otherwise the
+  // buffer, this task included, is flushed at once. A fresh handle counts
+  // as saturated until its second submission measures the first gap, and a
+  // pause of 8 * batch_gap_ns alone lifts the mean over the bound. 0
+  // publishes every task; UINT64_MAX batches by insert_batch count only.
+  std::uint64_t batch_gap_ns = 2000;
   // Admission bound on accepted-but-undelivered tasks; 0 = unbounded.
   std::size_t max_in_flight = 0;
   AdmissionPolicy policy = AdmissionPolicy::kBlock;
@@ -169,7 +183,6 @@ struct ServiceStats {
   std::uint64_t reroutes = 0;          // batches steered off an open breaker
   std::uint64_t breaker_trips = 0;     // circuit-breaker trips (all shards)
   std::uint64_t pool_exhausted = 0;    // deadline slots unavailable
-  std::uint64_t deadline_flushes = 0;  // flushes forced by the deadline
   std::uint64_t flushes = 0;           // all insertion-buffer flushes
   std::uint64_t refills = 0;           // all deletion-buffer refills
   std::uint64_t steals = 0;            // all stolen refills
@@ -313,7 +326,7 @@ class PriorityService {
             // Everything left may be sitting in our own insertion buffer
             // (the hold-model shape: pop depends on a task we just
             // submitted).
-            flush(false);
+            flush();
             refill();
           }
           if (dpos_ == dbuf_.size()) {
@@ -351,8 +364,44 @@ class PriorityService {
     }
 
    public:
-    // Publish every buffered submission now (deadline/batch independent).
-    void flush() { flush(false); }
+    // Publish every buffered submission now, whatever the batch fill.
+    void flush() {
+      if (ibuf_.empty()) return;
+      auto& shards = service_->shards_;
+      const std::size_t n = shards.size();
+      // Two-choice load balancing: flush into the smaller of two shards.
+      std::size_t a = rng_.next_below(n);
+      const std::size_t b = rng_.next_below(n);
+      if (shards[b].value.size.load(std::memory_order_relaxed) <
+          shards[a].value.size.load(std::memory_order_relaxed)) {
+        a = b;
+      }
+      if (service_->breaker_active_) {
+        a = service_->reroute_if_open(a, b == a ? kNpos : b, rng_);
+      }
+      auto& shard = shards[a].value;
+      // t0 before the chaos pause: an injected stall must look like a slow
+      // batch to note_batch, or the breaker could never detect it. Only the
+      // breaker reads t0, so without one the clock is not read here.
+      const std::uint64_t t0 =
+          service_->breaker_active_ ? steady_now_us() : 0;
+      shard.chaos_pause();
+      if constexpr (kBatchInsert) {
+        inner_[a].insert_batch(ibuf_.data(), ibuf_.size());
+      } else {
+        for (const Item& item : ibuf_) {
+          inner_[a].insert(item.first, item.second);
+        }
+      }
+      shard.note_pushed(ibuf_);
+      service_->note_batch(shard, t0);
+      CPQ_COUNT(kServiceFlush);
+      shard.flushes.fetch_add(1, std::memory_order_relaxed);
+      shard.flush_fill.fetch_add(ibuf_.size(), std::memory_order_relaxed);
+      // Cleared only once the shard took the batch: a throw above leaves
+      // every task buffered for the next flush.
+      ibuf_.clear();
+    }
 
     std::size_t buffered_inserts() const noexcept { return ibuf_.size(); }
     std::size_t buffered_deletes() const noexcept {
@@ -374,7 +423,7 @@ class PriorityService {
         ibuf_.emplace_back(task.key,
                            service_->encode(task.value, task.deadline_us));
       }
-      flush(false);
+      flush();
     }
 
    private:
@@ -421,63 +470,29 @@ class PriorityService {
         return false;
       }
       service_->submitted_.fetch_add(1, std::memory_order_relaxed);
-      if (ibuf_.empty()) ibuf_oldest_ = std::chrono::steady_clock::now();
-      const std::uint64_t deadline =
-          ttl_us != 0 ? steady_now_us() + ttl_us : 0;
+      // One clock read per accepted submission: it feeds the batching gate
+      // and stamps the TTL deadline (steady_now_us() is now_ns / 1000).
+      const std::uint64_t now_ns = monotonic_ns();
+      note_gap(now_ns);
+      const std::uint64_t deadline = ttl_us != 0 ? now_ns / 1000 + ttl_us : 0;
       ibuf_.emplace_back(key, service_->encode(value, deadline));
-      if (ibuf_.size() >= config().insert_batch) {
-        flush(false);
-      } else if (config().flush_deadline_us != 0 && deadline_expired()) {
-        flush(true);
+      if (ibuf_.size() >= config().insert_batch ||
+          mean_gap_ns_ >= config().batch_gap_ns) {
+        flush();
       }
       return true;
     }
 
-    bool deadline_expired() const {
-      const auto age = std::chrono::steady_clock::now() - ibuf_oldest_;
-      return std::chrono::duration_cast<std::chrono::microseconds>(age)
-                 .count() >=
-             static_cast<std::int64_t>(config().flush_deadline_us);
-    }
-
-    void flush(bool deadline) {
-      if (ibuf_.empty()) return;
-      auto& shards = service_->shards_;
-      const std::size_t n = shards.size();
-      // Two-choice load balancing: flush into the smaller of two shards.
-      std::size_t a = rng_.next_below(n);
-      const std::size_t b = rng_.next_below(n);
-      if (shards[b].value.size.load(std::memory_order_relaxed) <
-          shards[a].value.size.load(std::memory_order_relaxed)) {
-        a = b;
+    // Update the running mean gap between submissions (EWMA, alpha 1/8).
+    // The first measured gap starts the average; until then the mean is 0
+    // and the handle counts as saturated.
+    void note_gap(std::uint64_t now_ns) noexcept {
+      if (last_submit_ns_ != 0) {
+        const std::uint64_t gap = now_ns - last_submit_ns_;
+        mean_gap_ns_ =
+            mean_gap_ns_ == 0 ? gap : (7 * mean_gap_ns_ + gap) / 8;
       }
-      if (service_->breaker_active_) {
-        a = service_->reroute_if_open(a, b == a ? kNpos : b, rng_);
-      }
-      auto& shard = shards[a].value;
-      // t0 before the chaos pause: an injected stall must look like a slow
-      // batch to note_batch, or the breaker could never detect it.
-      const std::uint64_t t0 = steady_now_us();
-      shard.chaos_pause();
-      if constexpr (kBatchInsert) {
-        inner_[a].insert_batch(ibuf_.data(), ibuf_.size());
-      } else {
-        for (const Item& item : ibuf_) {
-          inner_[a].insert(item.first, item.second);
-        }
-      }
-      shard.note_pushed(ibuf_);
-      service_->note_batch(shard, t0);
-      CPQ_COUNT(kServiceFlush);
-      shard.flushes.fetch_add(1, std::memory_order_relaxed);
-      shard.flush_fill.fetch_add(ibuf_.size(), std::memory_order_relaxed);
-      if (deadline) {
-        CPQ_COUNT(kServiceDeadlineFlush);
-        service_->deadline_flushes_.fetch_add(1, std::memory_order_relaxed);
-      }
-      // Cleared only once the shard took the batch: a throw above leaves
-      // every task buffered for the next flush.
-      ibuf_.clear();
+      last_submit_ns_ = now_ns;
     }
 
     // Pull up to delete_batch tasks from the two-choice-routed shard, with
@@ -582,7 +597,8 @@ class PriorityService {
     PriorityService* service_;
     std::vector<InnerHandle> inner_;  // one per shard
     std::vector<Item> ibuf_;          // encoded, as the shard receives them
-    std::chrono::steady_clock::time_point ibuf_oldest_{};
+    std::uint64_t last_submit_ns_ = 0;  // monotonic_ns() of the last submit
+    std::uint64_t mean_gap_ns_ = 0;     // batching gate's running mean gap
     std::vector<Task> dbuf_;
     std::size_t dpos_ = 0;
     std::size_t shed_in_refill_ = 0;
@@ -671,7 +687,6 @@ class PriorityService {
     out.retry_exhausted = retry_exhausted_.load(std::memory_order_relaxed);
     out.reroutes = reroutes_.load(std::memory_order_relaxed);
     out.pool_exhausted = pool_ != nullptr ? pool_->exhausted() : 0;
-    out.deadline_flushes = deadline_flushes_.load(std::memory_order_relaxed);
     std::uint64_t flush_fill = 0;
     std::uint64_t refill_fill = 0;
     for (const auto& aligned : shards_) {
@@ -725,8 +740,6 @@ class PriorityService {
           static_cast<double>(in_flight_.load(std::memory_order_relaxed)));
     g.set("reroutes",
           static_cast<double>(reroutes_.load(std::memory_order_relaxed)));
-    g.set("deadline_flushes", static_cast<double>(deadline_flushes_.load(
-                                  std::memory_order_relaxed)));
     std::uint64_t flushes = 0;
     std::uint64_t refills = 0;
     std::uint64_t steals = 0;
@@ -760,11 +773,10 @@ class PriorityService {
     const ServiceStats s = stats();
     std::fprintf(out,
                  "[cpq-service] submitted=%llu delivered=%llu rejected=%llu "
-                 "in_flight=%zu deadline_flushes=%llu mean_fill=%.2f/%.2f\n",
+                 "in_flight=%zu mean_fill=%.2f/%.2f\n",
                  static_cast<unsigned long long>(s.submitted),
                  static_cast<unsigned long long>(s.delivered),
                  static_cast<unsigned long long>(s.rejected), in_flight(),
-                 static_cast<unsigned long long>(s.deadline_flushes),
                  s.mean_insert_fill, s.mean_delete_fill);
     if (s.shed_deadline + s.tier_rejected + s.retries + s.reroutes +
             s.breaker_trips + s.pool_exhausted >
@@ -993,7 +1005,6 @@ class PriorityService {
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> retry_exhausted_{0};
   std::atomic<std::uint64_t> reroutes_{0};
-  std::atomic<std::uint64_t> deadline_flushes_{0};
   std::atomic<bool> closed_{false};
 
   friend class Handle;

@@ -1,6 +1,6 @@
 // Unit tests for the PriorityService dispatch layer: delivery and ordering
-// under batching, admission control (reject and blocking backpressure),
-// deadline flushing, close()/drain() shutdown, per-shard counters, and the
+// under batching, the rate gate on batching, admission control (reject and
+// blocking backpressure), close()/drain() shutdown, per-shard counters, and the
 // open-loop service bench harness (including its CheckedQueue mode). The
 // batching and bookkeeping cases run over two shard types: a strict
 // global-lock heap, and mq-eng, whose handles have an insertion buffer of
@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <type_traits>
@@ -31,6 +33,10 @@ using K = std::uint64_t;
 using V = std::uint64_t;
 using Lock = GlobalLockQueue<K, V>;
 using MqEng = EngMultiQueue<K, V>;
+
+// A batching gate no submission rate can lift: count-only batching, for the
+// cases that assert exactly when an insert_batch-sized buffer publishes.
+constexpr std::uint64_t kCountOnly = std::numeric_limits<std::uint64_t>::max();
 
 template <typename Q>
 std::unique_ptr<PriorityService<Q>> make_service(unsigned threads,
@@ -77,6 +83,7 @@ TEST(PriorityService, BufferedInsertsPublishOnBatchOrExplicitFlush) {
     ServiceConfig cfg;
     cfg.shards = 1;
     cfg.insert_batch = 4;
+    cfg.batch_gap_ns = kCountOnly;
     auto service = make_service<Q>(2, cfg);
     auto producer = service->get_handle(0);
     auto consumer = service->get_handle(1);
@@ -106,19 +113,106 @@ TEST(PriorityService, BufferedInsertsPublishOnBatchOrExplicitFlush) {
   });
 }
 
-TEST(PriorityService, DeadlineForcesFlushOfStaleBuffer) {
-  ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 64;
-  cfg.flush_deadline_us = 500;
-  auto service = make_service<Lock>(1, cfg);
-  auto handle = service->get_handle(0);
-  handle.insert(1, 1);
-  EXPECT_EQ(handle.buffered_inserts(), 1u);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  handle.insert(2, 2);  // submit notices the expired deadline
-  EXPECT_EQ(handle.buffered_inserts(), 0u);
-  EXPECT_GE(service->stats().deadline_flushes, 1u);
+// The default gate: a producer slower than one task per batch_gap_ns (here
+// one per >= 100 us, 50x the 2 us default) publishes every task, so no task
+// waits in its buffer for submissions that are not coming.
+TEST(PriorityService, SlowProducerPublishesEveryTaskAtOnce) {
+  for_each_shard_type([](auto shard) {
+    using Q = typename decltype(shard)::type;
+    auto service = make_service<Q>(2, ServiceConfig{});
+    auto producer = service->get_handle(0);
+    auto consumer = service->get_handle(1);
+    K key;
+    V value;
+
+    // A fresh handle counts as saturated: the first task is buffered.
+    producer.insert(1, 1);
+    EXPECT_EQ(producer.buffered_inserts(), 1u);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    // The first measured gap lifts the mean over the gate: both publish.
+    producer.insert(2, 2);
+    EXPECT_EQ(producer.buffered_inserts(), 0u);
+    for (K want : {1u, 2u}) {
+      ASSERT_TRUE(consumer.delete_min(key, value));
+      EXPECT_EQ(key, want);
+    }
+
+    for (K next = 3; next < 8; ++next) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      producer.insert(next, next);
+      EXPECT_EQ(producer.buffered_inserts(), 0u);
+      ASSERT_TRUE(consumer.delete_min(key, value));
+      EXPECT_EQ(key, next);
+    }
+    EXPECT_EQ(service->stats().flushes, 6u);
+  });
+}
+
+// Back-to-back submissions stay far below a 1 ms gate and fill the buffer;
+// one submission after a 10 ms pause lifts the mean over it (a pause of
+// 8 * batch_gap_ns is enough on its own) and flushes every buffered task.
+// On a fresh handle the first measured gap starts the average, so a 2 ms
+// gap is enough there.
+TEST(PriorityService, PauseLiftsGateAndFlushesBuffer) {
+  for_each_shard_type([](auto shard) {
+    using Q = typename decltype(shard)::type;
+    ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.insert_batch = 64;
+    cfg.batch_gap_ns = 1'000'000;
+    auto service = make_service<Q>(3, cfg);
+    auto producer = service->get_handle(0);
+    auto consumer = service->get_handle(1);
+    K key;
+    V value;
+
+    for (K k = 1; k <= 10; ++k) producer.insert(k, k);
+    EXPECT_EQ(producer.buffered_inserts(), 10u);
+    EXPECT_FALSE(consumer.delete_min(key, value));
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    producer.insert(11, 11);
+    EXPECT_EQ(producer.buffered_inserts(), 0u);
+    const ServiceStats stats = service->stats();
+    EXPECT_EQ(stats.flushes, 1u);
+    EXPECT_DOUBLE_EQ(stats.mean_insert_fill, 11.0);
+    for (K want = 1; want <= 11; ++want) {
+      ASSERT_TRUE(consumer.delete_min(key, value));
+      EXPECT_EQ(key, want);
+    }
+
+    auto fresh = service->get_handle(2);
+    fresh.insert(12, 12);
+    EXPECT_EQ(fresh.buffered_inserts(), 1u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    fresh.insert(13, 13);
+    EXPECT_EQ(fresh.buffered_inserts(), 0u);
+    for (K want : {12u, 13u}) {
+      ASSERT_TRUE(consumer.delete_min(key, value));
+      EXPECT_EQ(key, want);
+    }
+  });
+}
+
+TEST(PriorityService, ZeroGapPublishesEverySubmission) {
+  for_each_shard_type([](auto shard) {
+    using Q = typename decltype(shard)::type;
+    ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.batch_gap_ns = 0;
+    auto service = make_service<Q>(2, cfg);
+    auto producer = service->get_handle(0);
+    auto consumer = service->get_handle(1);
+    K key;
+    V value;
+    for (K k = 1; k <= 20; ++k) {
+      producer.insert(k, k);
+      EXPECT_EQ(producer.buffered_inserts(), 0u);
+      ASSERT_TRUE(consumer.delete_min(key, value));
+      EXPECT_EQ(key, k);
+    }
+    EXPECT_EQ(service->stats().flushes, 20u);
+  });
 }
 
 TEST(PriorityService, RejectPolicyBoundsInFlightWork) {
@@ -259,6 +353,7 @@ TEST(PriorityService, StatsAccountForEveryFlushedAndPoppedTask) {
     cfg.shards = 4;
     cfg.insert_batch = 8;
     cfg.delete_batch = 8;
+    cfg.batch_gap_ns = kCountOnly;
     auto service = make_service<Q>(1, cfg);
     {
       auto handle = service->get_handle(0);

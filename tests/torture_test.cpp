@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -520,35 +521,46 @@ class ServiceTortureTest : public TortureTest<Q> {};
 
 TYPED_TEST_SUITE(ServiceTortureTest, QueueTypes);
 
+// The two insertion publication paths: the default rate gate, which under
+// injected delays mostly publishes one task per flush, and count-only
+// batching, which keeps the multi-task flush under audit.
+const std::uint64_t kServiceBatchGaps[] = {
+    service::ServiceConfig{}.batch_gap_ns,
+    std::numeric_limits<std::uint64_t>::max()};
+
 TYPED_TEST(ServiceTortureTest, DispatchConservesTasksUnderInjection) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kOpsPerThread = 4000;
-  service::ServiceConfig scfg;
-  scfg.shards = 2;
-  scfg.insert_batch = 4;
-  scfg.delete_batch = 4;
-  using Service = service::PriorityService<TypeParam>;
-  validation::CheckedQueue<Service> queue(
-      kThreads, make_service<TypeParam>(kThreads, scfg));
+  for (const std::uint64_t gap : kServiceBatchGaps) {
+    SCOPED_TRACE(testing::Message() << "batch_gap_ns=" << gap);
+    service::ServiceConfig scfg;
+    scfg.shards = 2;
+    scfg.insert_batch = 4;
+    scfg.delete_batch = 4;
+    scfg.batch_gap_ns = gap;
+    using Service = service::PriorityService<TypeParam>;
+    validation::CheckedQueue<Service> queue(
+        kThreads, make_service<TypeParam>(kThreads, scfg));
 
-  run_team(kThreads, [&](unsigned tid) {
-    auto handle = queue.get_handle(tid);
-    Xoroshiro128 rng(thread_seed(0x7043, tid));
-    std::uint64_t inserted = 0;
-    for (std::uint64_t op = 0; op < kOpsPerThread; ++op) {
-      if (rng.next_below(100) < 60) {
-        handle.insert(rng.next_below(1u << 10), value_of(tid, inserted++));
-      } else {
-        K k;
-        V v;
-        handle.delete_min(k, v);
+    run_team(kThreads, [&](unsigned tid) {
+      auto handle = queue.get_handle(tid);
+      Xoroshiro128 rng(thread_seed(0x7043, tid));
+      std::uint64_t inserted = 0;
+      for (std::uint64_t op = 0; op < kOpsPerThread; ++op) {
+        if (rng.next_below(100) < 60) {
+          handle.insert(rng.next_below(1u << 10), value_of(tid, inserted++));
+        } else {
+          K k;
+          V v;
+          handle.delete_min(k, v);
+        }
       }
-    }
-  });
+    });
 
-  const validation::ReconcileReport report = queue.reconcile();
-  EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_GT(report.inserted, 0u);
+    const validation::ReconcileReport report = queue.reconcile();
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_GT(report.inserted, 0u);
+  }
 }
 
 // Shutdown under backpressure: a small in-flight bound keeps producers
@@ -557,42 +569,46 @@ TYPED_TEST(ServiceTortureTest, DispatchConservesTasksUnderInjection) {
 TYPED_TEST(ServiceTortureTest, BackpressureShutdownConservesTasks) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kPerProducer = 4000;
-  service::ServiceConfig scfg;
-  scfg.shards = 2;
-  scfg.insert_batch = 4;
-  scfg.delete_batch = 4;
-  scfg.max_in_flight = 64;
-  scfg.policy = service::AdmissionPolicy::kBlock;
-  using Service = service::PriorityService<TypeParam>;
-  validation::CheckedQueue<Service> queue(
-      kThreads, make_service<TypeParam>(kThreads, scfg));
+  for (const std::uint64_t gap : kServiceBatchGaps) {
+    SCOPED_TRACE(testing::Message() << "batch_gap_ns=" << gap);
+    service::ServiceConfig scfg;
+    scfg.shards = 2;
+    scfg.insert_batch = 4;
+    scfg.delete_batch = 4;
+    scfg.max_in_flight = 64;
+    scfg.policy = service::AdmissionPolicy::kBlock;
+    scfg.batch_gap_ns = gap;
+    using Service = service::PriorityService<TypeParam>;
+    validation::CheckedQueue<Service> queue(
+        kThreads, make_service<TypeParam>(kThreads, scfg));
 
-  std::atomic<unsigned> producers_done{0};
-  run_team(kThreads, [&](unsigned tid) {
-    auto handle = queue.get_handle(tid);
-    if (tid < 2) {
-      Xoroshiro128 rng(thread_seed(0x7044, tid));
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        handle.insert(rng.next_below(1u << 12), value_of(tid, i));
-      }
-      producers_done.fetch_add(1, std::memory_order_release);
-    } else {
-      K k;
-      V v;
-      unsigned misses = 0;
-      while (misses < 64) {
-        if (handle.delete_min(k, v)) {
-          misses = 0;
-        } else if (producers_done.load(std::memory_order_acquire) == 2) {
-          ++misses;
+    std::atomic<unsigned> producers_done{0};
+    run_team(kThreads, [&](unsigned tid) {
+      auto handle = queue.get_handle(tid);
+      if (tid < 2) {
+        Xoroshiro128 rng(thread_seed(0x7044, tid));
+        for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+          handle.insert(rng.next_below(1u << 12), value_of(tid, i));
+        }
+        producers_done.fetch_add(1, std::memory_order_release);
+      } else {
+        K k;
+        V v;
+        unsigned misses = 0;
+        while (misses < 64) {
+          if (handle.delete_min(k, v)) {
+            misses = 0;
+          } else if (producers_done.load(std::memory_order_acquire) == 2) {
+            ++misses;
+          }
         }
       }
-    }
-  });
+    });
 
-  const validation::ReconcileReport report = queue.reconcile();
-  EXPECT_TRUE(report.ok()) << report.to_string();
-  EXPECT_EQ(report.inserted, 2 * kPerProducer);
+    const validation::ReconcileReport report = queue.reconcile();
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    EXPECT_EQ(report.inserted, 2 * kPerProducer);
+  }
 }
 
 // ---- the validation layer must catch a queue that is actually broken -----
