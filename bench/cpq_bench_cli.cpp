@@ -461,15 +461,18 @@ int run_chaos_from_file(const std::string& schedule_path,
   cpq::validation::print_chaos_result(stdout, result);
   emit_chaos_json(chaos_campaign_label(schedule_path), queue_name, threads,
                   result);
-  if (!result.ok()) {
+  if (result.ok()) {
+    std::printf("# chaos: campaign OK\n");
+  } else {
     std::fprintf(stderr, "[chaos] campaign FAILED (%s%s%s)\n",
                  result.conservation_ok ? "" : "conservation ",
                  result.rank_violations_outside == 0 ? "" : "rank-bound ",
                  result.recovered() ? "" : "recovery");
-    return 1;
   }
-  std::printf("# chaos: campaign OK\n");
-  return 0;
+  // The report must reach a pipe even if an exit-time check (a leak
+  // report) ends the process before stdio's own flush.
+  std::fflush(stdout);
+  return result.ok() ? 0 : 1;
 }
 
 }  // namespace

@@ -41,37 +41,12 @@
 
 #include "platform/backoff.hpp"
 #include "platform/cache.hpp"
+#include "platform/spinlock.hpp"
 #include "validation/fault_injection.hpp"
 
 namespace cpq::mm {
 
 namespace arena_detail {
-
-// Minimal TTAS lock. Deliberately not platform/spinlock.hpp's Spinlock: the
-// allocator must stay invisible to the contention counters (CPQ_COUNT would
-// attribute pool traffic to the queue under test). Like Spinlock it yields
-// after sustained spinning — with more runnable threads than cores a
-// preempted holder otherwise costs every spinner its full quantum.
-class PoolLock {
- public:
-  void lock() noexcept {
-    for (;;) {
-      if (!flag_.exchange(true, std::memory_order_acquire)) return;
-      unsigned spins = 0;
-      while (flag_.load(std::memory_order_relaxed)) {
-        if (++spins < 64) {
-          cpu_relax();
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    }
-  }
-  void unlock() noexcept { flag_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
 
 // Tracks whether the pool singleton is alive. Zero-initialized before any
 // dynamic initialization; flipped by the pool's constructor/destructor.
@@ -183,7 +158,7 @@ class BlockPool {
     for (unsigned cls = 0; cls < kClassCount; ++cls) {
       FreeChunk* head;
       {
-        std::lock_guard<arena_detail::PoolLock> lock(freelists_[cls].value.lock);
+        std::lock_guard<UncountedSpinlock> lock(freelists_[cls].value.lock);
         head = freelists_[cls].value.head;
         freelists_[cls].value.head = nullptr;
         freelists_[cls].value.length = 0;
@@ -204,7 +179,7 @@ class BlockPool {
   static_assert(sizeof(FreeChunk) <= (std::size_t{1} << kMinClassLog));
 
   struct FreeList {
-    arena_detail::PoolLock lock;
+    UncountedSpinlock lock;
     FreeChunk* head = nullptr;
     std::size_t length = 0;
   };
@@ -257,7 +232,7 @@ class BlockPool {
 
   void refill(unsigned cls, Magazine& mag) {
     FreeList& list = freelists_[cls].value;
-    std::lock_guard<arena_detail::PoolLock> lock(list.lock);
+    std::lock_guard<UncountedSpinlock> lock(list.lock);
     while (mag.count < kMagazineDepth / 2 && list.head != nullptr) {
       mag.chunks[mag.count++] = static_cast<void*>(list.head);
       list.head = list.head->next;
@@ -267,7 +242,7 @@ class BlockPool {
 
   void flush_half(unsigned cls, Magazine& mag) noexcept {
     FreeList& list = freelists_[cls].value;
-    std::lock_guard<arena_detail::PoolLock> lock(list.lock);
+    std::lock_guard<UncountedSpinlock> lock(list.lock);
     while (mag.count > kMagazineDepth / 2) {
       auto* chunk = static_cast<FreeChunk*>(mag.chunks[--mag.count]);
       chunk->next = list.head;
@@ -278,7 +253,7 @@ class BlockPool {
 
   void flush_all(unsigned cls, Magazine& mag) noexcept {
     FreeList& list = freelists_[cls].value;
-    std::lock_guard<arena_detail::PoolLock> lock(list.lock);
+    std::lock_guard<UncountedSpinlock> lock(list.lock);
     while (mag.count > 0) {
       auto* chunk = static_cast<FreeChunk*>(mag.chunks[--mag.count]);
       chunk->next = list.head;

@@ -55,7 +55,6 @@ enum class Counter : unsigned {
   kServiceReject,       // admission rejections
   kServiceShed,         // tasks dropped past their deadline
   kServiceTierReject,   // rejections from the tiered-admission gate
-  kServiceRetry,        // submit_with_retry re-attempts
   kServiceBreakerTrip,  // per-shard circuit-breaker trips
   kServiceReroute,      // batches steered away from an open breaker
   kCounterCount,
@@ -70,8 +69,8 @@ inline const char* counter_name(unsigned index) noexcept {
       "ebr_retire",     "ebr_free",      "ebr_advance",
       "hazard_scan",    "hazard_retire", "service_flush",
       "service_refill", "service_steal", "service_reject",
-      "service_shed",   "service_tier_reject", "service_retry",
-      "service_breaker_trip", "service_reroute",
+      "service_shed",   "service_tier_reject", "service_breaker_trip",
+      "service_reroute",
   };
   return index < kNumCounters ? names[index] : "?";
 }

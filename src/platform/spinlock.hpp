@@ -1,4 +1,5 @@
-// Spinlocks used by the lock-based queues (GlobalLock, MultiQueue, Hunt heap).
+// Spinlocks used by the lock-based queues (GlobalLock, MultiQueue, Hunt heap)
+// and, uncounted, by pools that sit beside them.
 //
 // A test-and-test-and-set lock with exponential backoff is what the original
 // klsm benchmark used to protect std::priority_queue instances; we provide
@@ -74,6 +75,33 @@ class Spinlock {
     CPQ_INJECT("spinlock.release");
     flag_.store(false, std::memory_order_release);
   }
+
+ private:
+  std::atomic<bool> flag_{false};
+};
+
+// Minimal TTAS lock for infrastructure that must stay invisible to the
+// contention counters and the injection seams (the k-LSM block pool, the
+// service's deadline-slot free list): CPQ_COUNT would attribute its traffic
+// to the queue under test. Like Spinlock it yields after sustained spinning
+// — with more runnable threads than cores a preempted holder otherwise costs
+// every spinner its full quantum.
+class UncountedSpinlock {
+ public:
+  void lock() noexcept {
+    for (;;) {
+      if (!flag_.exchange(true, std::memory_order_acquire)) return;
+      unsigned spins = 0;
+      while (flag_.load(std::memory_order_relaxed)) {
+        if (++spins < 64) {
+          cpu_relax();
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    }
+  }
+  void unlock() noexcept { flag_.store(false, std::memory_order_release); }
 
  private:
   std::atomic<bool> flag_{false};

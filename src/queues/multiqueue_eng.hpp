@@ -14,7 +14,12 @@
 //     n items in the heap, visible to every handle once it returns;
 //   * deletion buffers — delete_min pops up to `del_buffer` minima from the
 //     two-choice winner under ONE lock acquisition and serves subsequent
-//     calls from the thread-local batch with no shared-memory traffic;
+//     calls from the thread-local batch with no shared-memory traffic.
+//     Callers that keep a deletion buffer of their own (the PriorityService
+//     refill) skip this one through Handle::delete_batch(out, n): the same
+//     probe and lock, with the minima written straight to the caller, so
+//     what the caller does not take stays in the heap, visible to every
+//     handle;
 //   * sticky rounds — the queue indices used for insertion flushes and
 //     deletion refills are redrawn only every `stickiness` uses (or on
 //     try_lock failure), so consecutive operations hit cache-warm heaps
@@ -41,7 +46,8 @@
 //   mq_eng.flush   — entry of insert_batch: every insertion-buffer flush,
 //                    every unbuffered (ins_buffer = 0) insert, and every
 //                    caller-supplied batch
-//   mq_eng.refill  — entry of a deletion-buffer refill
+//   mq_eng.refill  — entry of delete_batch: every deletion-buffer refill
+//                    and every caller-supplied batch
 //   mq_eng.spill   — entry of the destructor spill (delay-only: a throw
 //                    here would escape a destructor)
 #pragma once
@@ -113,7 +119,7 @@ class EngMultiQueue {
     Handle(EngMultiQueue& queue, unsigned thread_id)
         : queue_(&queue), rng_(thread_seed(queue.seed_, thread_id)) {
       ins_buf_.reserve(queue.cfg_.ins_buffer);
-      del_buf_.reserve(queue.cfg_.del_buffer == 0 ? 1 : queue.cfg_.del_buffer);
+      del_buf_.resize(queue.cfg_.del_buffer == 0 ? 1 : queue.cfg_.del_buffer);
     }
 
     // Move-only: the destructor spills the thread-local buffers back into
@@ -124,6 +130,7 @@ class EngMultiQueue {
           ins_buf_(std::move(other.ins_buf_)),
           del_buf_(std::move(other.del_buf_)),
           del_pos_(other.del_pos_),
+          del_end_(other.del_end_),
           ins_queue_(other.ins_queue_),
           ins_uses_(other.ins_uses_),
           del_queue_a_(other.del_queue_a_),
@@ -140,6 +147,7 @@ class EngMultiQueue {
         ins_buf_ = std::move(other.ins_buf_);
         del_buf_ = std::move(other.del_buf_);
         del_pos_ = other.del_pos_;
+        del_end_ = other.del_end_;
         ins_queue_ = other.ins_queue_;
         ins_uses_ = other.ins_uses_;
         del_queue_a_ = other.del_queue_a_;
@@ -177,17 +185,20 @@ class EngMultiQueue {
     }
 
     bool delete_min(Key& key_out, Value& value_out) {
-      if (del_pos_ >= del_buf_.size()) refill_del_buffer();
-      const bool have_del = del_pos_ < del_buf_.size();
+      if (del_pos_ == del_end_) {
+        // del_end_ is written only once the batch is in: a throw at the
+        // refill seam leaves the buffer empty.
+        const std::size_t got = delete_batch(del_buf_.data(), del_buf_.size());
+        del_pos_ = 0;
+        del_end_ = got;
+      }
+      const bool have_del = del_pos_ < del_end_;
       const bool have_ins = !ins_buf_.empty();
       if (have_del &&
           (!have_ins || del_buf_[del_pos_].first <= ins_buf_.back().first)) {
         key_out = del_buf_[del_pos_].first;
         value_out = del_buf_[del_pos_].second;
-        if (++del_pos_ >= del_buf_.size()) {
-          del_buf_.clear();
-          del_pos_ = 0;
-        }
+        ++del_pos_;
         return true;
       }
       if (have_ins) {
@@ -231,24 +242,22 @@ class EngMultiQueue {
       }
     }
 
-   private:
-    friend class EngMultiQueue;
-    using LocalQueue = detail::MqLocalQueue<Key, Value, SeqQueue>;
-    static constexpr unsigned kMaxAttempts = 64;
-
-    // Two-choice refill: pop up to del_buffer minima from the winner under
-    // one lock. Leaves del_buf_ empty when every queue is (momentarily)
-    // empty or the attempt budget is exhausted by contention.
-    void refill_del_buffer() {
+    // Pop up to `n` minima of ONE local queue into `out`, in ascending
+    // order, under ONE lock acquisition: the sticky two-choice winner (its
+    // pair redrawn on a failed try_lock or an empty pick). The handle's own
+    // buffers are neither read nor filled, so the rest of that heap stays
+    // visible to every handle. Fewer than `n` means the chosen heap ran
+    // out; 0 means every local queue looked empty or contention used up
+    // the attempt budget. Fires the mq_eng.refill seam before locking, so a
+    // throw pops nothing.
+    std::size_t delete_batch(Item* out, std::size_t n) {
       CPQ_INJECT("mq_eng.refill");
       auto& queues = queue_->queues_;
-      const std::size_t n = queues.size();
-      const std::size_t batch =
-          queue_->cfg_.del_buffer == 0 ? 1 : queue_->cfg_.del_buffer;
+      const std::size_t count = queues.size();
       for (unsigned attempt = 0; attempt < kMaxAttempts; ++attempt) {
         if (del_uses_ == 0) {
-          del_queue_a_ = rng_.next_below(n);
-          del_queue_b_ = rng_.next_below(n);
+          del_queue_a_ = rng_.next_below(count);
+          del_queue_b_ = rng_.next_below(count);
           del_uses_ = queue_->cfg_.stickiness;
         }
         const std::size_t i = del_queue_a_;
@@ -258,11 +267,11 @@ class EngMultiQueue {
         std::size_t pick = (kj < ki) ? j : i;
         if (ki == kEmptyKey && kj == kEmptyKey) {
           del_uses_ = 0;  // the sticky pair went stale either way
-          if (all_empty()) return;
+          if (all_empty()) return 0;
           // Mirrors can hide maximal-key items; trust the exact counts.
           bool found = false;
-          for (std::size_t probe = 0; probe < n; ++probe) {
-            const std::size_t candidate = (i + probe) % n;
+          for (std::size_t probe = 0; probe < count; ++probe) {
+            const std::size_t candidate = (i + probe) % count;
             if (queues[candidate].value.count.load(
                     std::memory_order_acquire) > 0) {
               pick = candidate;
@@ -278,20 +287,25 @@ class EngMultiQueue {
           del_uses_ = 0;
           continue;
         }
-        Key key;
-        Value value;
-        while (del_buf_.size() < batch && q.pq.delete_min(key, value)) {
-          del_buf_.emplace_back(key, value);
+        std::size_t got = 0;
+        while (got < n && q.pq.delete_min(out[got].first, out[got].second)) {
+          ++got;
         }
         q.refresh_min();
         q.lock.unlock();
-        if (!del_buf_.empty()) {
+        if (got > 0) {
           --del_uses_;
-          return;
+          return got;
         }
         del_uses_ = 0;  // raced to empty under the lock — redraw
       }
+      return 0;
     }
+
+   private:
+    friend class EngMultiQueue;
+    using LocalQueue = detail::MqLocalQueue<Key, Value, SeqQueue>;
+    static constexpr unsigned kMaxAttempts = 64;
 
     // Return every buffered item to a shared queue under one blocking lock
     // (the spill must land even under contention — handle teardown is the
@@ -299,21 +313,20 @@ class EngMultiQueue {
     void spill() {
       if (queue_ == nullptr) return;
       const bool have_ins = !ins_buf_.empty();
-      const bool have_del = del_pos_ < del_buf_.size();
+      const bool have_del = del_pos_ < del_end_;
       if (!have_ins && !have_del) return;
       CPQ_INJECT("mq_eng.spill");
       auto& queues = queue_->queues_;
       LocalQueue& q = queues[rng_.next_below(queues.size())].value;
       q.lock.lock();
       for (const Item& item : ins_buf_) q.pq.insert(item.first, item.second);
-      for (std::size_t p = del_pos_; p < del_buf_.size(); ++p) {
+      for (std::size_t p = del_pos_; p < del_end_; ++p) {
         q.pq.insert(del_buf_[p].first, del_buf_[p].second);
       }
       q.refresh_min();
       q.lock.unlock();
       ins_buf_.clear();
-      del_buf_.clear();
-      del_pos_ = 0;
+      del_pos_ = del_end_ = 0;
     }
 
     bool all_empty() const {
@@ -326,8 +339,9 @@ class EngMultiQueue {
     EngMultiQueue* queue_;
     Xoroshiro128 rng_;
     std::vector<Item> ins_buf_;  // sorted descending; min at back()
-    std::vector<Item> del_buf_;  // ascending batch; served from del_pos_
+    std::vector<Item> del_buf_;  // ascending batch in [del_pos_, del_end_)
     std::size_t del_pos_ = 0;
+    std::size_t del_end_ = 0;
     std::size_t ins_queue_ = 0;  // sticky insertion target
     unsigned ins_uses_ = 0;      // flushes left before redrawing it
     std::size_t del_queue_a_ = 0;  // sticky deletion pair

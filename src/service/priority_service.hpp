@@ -27,28 +27,35 @@
 //     passes through and it is visible to every consumer as soon as
 //     flush() returns. Other shard queues are fed the batch one insert at
 //     a time.
-//   * a deletion buffer: pops refill thread-locally in batches of
+//   * a deletion buffer: pops refill thread-locally in batches of up to
 //     `delete_batch` from the shard whose last observed minimum is smaller
 //     (two-choice routing on pop); when the favoured shard is empty the
 //     handle *steals* from the other choice, and as a last resort sweeps
-//     every shard so that emptiness reports are trustworthy.
+//     every shard so that emptiness reports are trustworthy. A shard handle
+//     with delete_batch(out, n) (mq-eng) fills the buffer in one call, from
+//     one of its heaps under one lock, bypassing its own deletion buffer:
+//     this is the only deletion buffer such a task passes through, and what
+//     the call does not return stays in the heap, poppable by every
+//     consumer. A short batch (that heap ran out) ends the refill; further
+//     calls only replace tasks shed as expired. Other shard queues are
+//     popped one delete_min at a time.
 //   * admission control: a global in-flight bound with reject, block
 //     (backpressure), or tiered policy, plus graceful close() + drain()
 //     shutdown.
 //
 // Overload resilience (see service/resilience.hpp for the building blocks):
 //
-//   * deadline shedding: with ttl_us configured (or try_submit_for), tasks
-//     carry an absolute expiry; expired tasks are dropped at pop time,
-//     counted, and reported to an optional shed sink instead of delivered.
-//     Deadlines ride in a DeadlinePool slot whose index replaces the queue
-//     value (top bit tagged), so the inner queue's value type is unchanged —
-//     this requires unsigned 64-bit values below 2^63.
+//   * deadline shedding: with ttl_us configured, tasks carry an absolute
+//     expiry; expired tasks are dropped at pop time, counted, and reported
+//     to an optional shed sink instead of delivered. Deadlines ride in a
+//     DeadlinePool slot whose index replaces the queue value (top bit
+//     tagged), so the inner queue's value type is unchanged — this requires
+//     unsigned 64-bit values below 2^63. Each handle keeps a cache of free
+//     slot indices, so slots move between producer and consumer threads in
+//     batches, not one shared CAS per task.
 //   * tiered admission (AdmissionPolicy::kTiered): the key space is split
 //     into priority tiers and low-priority tiers are rejected first as the
 //     in-flight window fills, instead of the binary full/not-full cliff.
-//   * bounded retry: submit_with_retry retries rejected submissions with
-//     exponential backoff up to retry_limit times.
 //   * per-shard circuit breaker: flush/refill batches that repeatedly exceed
 //     breaker_trip_us take the shard out of preferred routing for a cooldown
 //     (re-routes are counted); a half-open probe admits it back. The breaker
@@ -61,8 +68,10 @@
 // therefore grows with insert_batch * shards + delete_batch (measured by
 // `cpq_bench_cli --mode=service`). The insert_batch * shards term applies to
 // saturated producers only: a producer slower than one task per
-// batch_gap_ns publishes every task. Conservation (exactly-once delivery) is
-// NOT relaxed: every accepted task is delivered exactly once, recovered by
+// batch_gap_ns publishes every task. mq-eng shards add no second prefetch:
+// their refills go through delete_batch, so the delete_batch term is the
+// service's buffer alone. Conservation (exactly-once delivery) is NOT
+// relaxed: every accepted task is delivered exactly once, recovered by
 // drain(), or (with deadlines enabled) shed exactly once through the shed
 // sink; handles flush their insertion buffer and spill unconsumed prefetched
 // tasks back to a shard on destruction. tests/torture_test.cpp audits this
@@ -70,7 +79,10 @@
 //
 // Counters: per-shard (enqueued, dequeued, flushes, refills, steals, shed,
 // breaker trips, batch fill) and service-wide (submitted, rejected, tier
-// rejections, retries, re-routes, shed). The shard's load and minimum
+// rejections, delivered, re-routes, shed). The service-wide ones live in one
+// cache-line slot per thread id, summed by stats(), so submits and hand-offs
+// on different threads never write a shared line; the in-flight bound and
+// the closed flag share a line of their own. The shard's load and minimum
 // hints and its enqueued/dequeued counts are updated once per flush or
 // refill batch, not per task. They are readable via stats() and dumpable
 // through dump_stats() — which the open-loop bench installs as the
@@ -136,11 +148,12 @@ struct ServiceConfig {
   std::uint64_t seed = 1;
 
   // ---- overload resilience ----
-  // Default time-to-live applied to every submission; 0 disables deadline
-  // shedding (per-task deadlines via try_submit_for still work if
-  // deadline_slots > 0). Requires unsigned 64-bit values < 2^63.
+  // Time-to-live applied to every submission; 0 disables deadline shedding.
+  // Requires unsigned 64-bit values < 2^63.
   std::uint64_t ttl_us = 0;
-  // DeadlinePool capacity; 0 derives it from max_in_flight (or 64k).
+  // DeadlinePool capacity; 0 derives max_in_flight (or 64k) plus
+  // 2 * DeadlinePool::kBatch per thread, so slots parked in the handles'
+  // caches cannot exhaust a full admission window.
   std::size_t deadline_slots = 0;
   // Tier count for AdmissionPolicy::kTiered when tier_boundaries is empty:
   // the key space [0, tier_key_space) is split uniformly. 0 means 4.
@@ -148,10 +161,6 @@ struct ServiceConfig {
   std::uint64_t tier_key_space = std::uint64_t{1} << 32;
   // Explicit ascending tier upper bounds (overrides uniform splitting).
   std::vector<std::uint64_t> tier_boundaries;
-  // submit_with_retry: extra attempts after the first rejection, backing off
-  // exponentially from retry_base_us.
-  unsigned retry_limit = 3;
-  std::uint64_t retry_base_us = 50;
   // Circuit breaker: trip after breaker_consecutive flush/refill batches of
   // >= breaker_trip_us against one shard; re-admit after breaker_cooldown_us
   // via a half-open probe. 0 disables the breaker.
@@ -178,8 +187,6 @@ struct ServiceStats {
   std::uint64_t tier_rejected = 0;     // rejections from the tier gate only
   std::uint64_t delivered = 0;         // tasks handed to consumers
   std::uint64_t shed_deadline = 0;     // tasks dropped past their deadline
-  std::uint64_t retries = 0;           // submit_with_retry re-attempts
-  std::uint64_t retry_exhausted = 0;   // submissions dropped after retries
   std::uint64_t reroutes = 0;          // batches steered off an open breaker
   std::uint64_t breaker_trips = 0;     // circuit-breaker trips (all shards)
   std::uint64_t pool_exhausted = 0;    // deadline slots unavailable
@@ -207,6 +214,12 @@ class PriorityService {
       requires(InnerHandle& handle, const Item* items, std::size_t n) {
         handle.insert_batch(items, n);
       };
+  // Shard handles that fill a whole refill in one call (mq-eng); every
+  // other queue is popped one delete_min at a time.
+  static constexpr bool kBatchDelete =
+      requires(InnerHandle& handle, Item* out, std::size_t n) {
+        handle.delete_batch(out, n);
+      };
 
   // Deadline envelopes replace the queue value with a tagged DeadlinePool
   // slot index; only unsigned 64-bit value types have the spare top bit.
@@ -220,7 +233,8 @@ class PriorityService {
   PriorityService(unsigned max_threads, const ServiceConfig& config,
                   ShardFactory&& make_shard)
       : config_(sanitize(config, max_threads)),
-        shards_(config_.shards) {
+        shards_(config_.shards),
+        counters_(max_threads == 0 ? 1 : max_threads) {
     for (unsigned s = 0; s < config_.shards; ++s) {
       shards_[s].value.queue = make_shard(s);
       shards_[s].value.breaker.configure(config_.breaker_trip_us,
@@ -231,10 +245,11 @@ class PriorityService {
       if (config_.ttl_us > 0 || config_.deadline_slots > 0) {
         std::size_t slots = config_.deadline_slots;
         if (slots == 0) {
-          slots = config_.max_in_flight > 0 ? config_.max_in_flight
-                                            : std::size_t{1} << 16;
+          slots = (config_.max_in_flight > 0 ? config_.max_in_flight
+                                             : std::size_t{1} << 16) +
+                  2 * Pool::kBatch * counters_.size();
         }
-        pool_ = std::make_unique<DeadlinePool<value_type>>(slots);
+        pool_ = std::make_unique<Pool>(slots);
       }
     }
     if (config_.policy == AdmissionPolicy::kTiered) {
@@ -247,6 +262,20 @@ class PriorityService {
     }
   }
 
+ private:
+  // Per-thread-id slot of the service-wide counters. Relaxed fetch_adds, so
+  // handles that share a thread id still count exactly.
+  struct Counters {
+    std::atomic<std::uint64_t> submitted{0};
+    std::atomic<std::uint64_t> rejected{0};
+    std::atomic<std::uint64_t> tier_rejected{0};
+    std::atomic<std::uint64_t> delivered{0};
+    std::atomic<std::uint64_t> shed_deadline{0};
+    std::atomic<std::uint64_t> reroutes{0};
+  };
+  using Pool = DeadlinePool<value_type>;
+
+ public:
   class Handle {
    public:
     Handle(Handle&&) = default;
@@ -260,41 +289,14 @@ class PriorityService {
     // return reports acceptance for callers that track conservation; plain
     // queue-concept users may ignore it.
     bool insert(key_type key, value_type value) {
-      return submit(key, value, true, config().ttl_us);
+      return submit(key, value, true);
     }
 
     // Policy-honouring submission. Returns false (and counts a rejection)
     // when the service is closed, or when the in-flight bound (or, under
     // kTiered, the key's tier allowance) is hit.
     bool try_submit(key_type key, value_type value) {
-      return submit(key, value, config().policy == AdmissionPolicy::kBlock,
-                    config().ttl_us);
-    }
-
-    // try_submit with an explicit time-to-live (microseconds; 0 = no
-    // deadline) overriding the configured default.
-    bool try_submit_for(key_type key, value_type value,
-                        std::uint64_t ttl_us) {
-      return submit(key, value, config().policy == AdmissionPolicy::kBlock,
-                    ttl_us);
-    }
-
-    // Bounded retry for rejected submissions: up to retry_limit extra
-    // attempts with exponential backoff from retry_base_us. Returns false
-    // once the budget is exhausted or the service closes.
-    bool submit_with_retry(key_type key, value_type value) {
-      if (try_submit(key, value)) return true;
-      for (unsigned attempt = 0; attempt < config().retry_limit; ++attempt) {
-        if (service_->closed()) return false;
-        CPQ_COUNT(kServiceRetry);
-        service_->retries_.fetch_add(1, std::memory_order_relaxed);
-        const unsigned shift = attempt < 20 ? attempt : 20;
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(config().retry_base_us << shift));
-        if (try_submit(key, value)) return true;
-      }
-      service_->retry_exhausted_.fetch_add(1, std::memory_order_relaxed);
-      return false;
+      return submit(key, value, config().policy == AdmissionPolicy::kBlock);
     }
 
     bool delete_min(key_type& key_out, value_type& value_out) {
@@ -343,7 +345,7 @@ class PriorityService {
         // Deadline re-check at hand-off: the task may have expired while
         // parked in the deletion buffer.
         if (task.deadline_us != 0 && steady_now_us() > task.deadline_us) {
-          service_->shed_task(task.key, task.value);
+          service_->shed_task(*counters_, task.key, task.value);
           ++shed_in_pop_;
           // A deletion buffer consumed entirely by hand-off sheds counts
           // toward the round cap as well — otherwise a dead-on-arrival feed
@@ -356,7 +358,7 @@ class PriorityService {
         key_out = task.key;
         value_out = task.value;
         if (count_delivery) {
-          service_->delivered_.fetch_add(1, std::memory_order_relaxed);
+          counters_->delivered.fetch_add(1, std::memory_order_relaxed);
         }
         service_->release_slot();
         return true;
@@ -377,7 +379,8 @@ class PriorityService {
         a = b;
       }
       if (service_->breaker_active_) {
-        a = service_->reroute_if_open(a, b == a ? kNpos : b, rng_);
+        a = service_->reroute_if_open(a, b == a ? kNpos : b, rng_,
+                                      *counters_);
       }
       auto& shard = shards[a].value;
       // t0 before the chaos pause: an injected stall must look like a slow
@@ -420,10 +423,11 @@ class PriorityService {
       // held, correctly).
       for (; dpos_ < dbuf_.size(); ++dpos_) {
         const Task& task = dbuf_[dpos_];
-        ibuf_.emplace_back(task.key,
-                           service_->encode(task.value, task.deadline_us));
+        ibuf_.emplace_back(task.key, service_->encode(cache_, task.value,
+                                                      task.deadline_us));
       }
       flush();
+      if (service_->pool_ != nullptr) service_->pool_->release(cache_);
     }
 
    private:
@@ -440,6 +444,8 @@ class PriorityService {
 
     Handle(PriorityService& service, unsigned thread_id)
         : service_(&service),
+          counters_(
+              &service.counters_[thread_id % service.counters_.size()].value),
           rng_(thread_seed(service.config_.seed ^ 0x5e11ce, thread_id)) {
       inner_.reserve(service.shards_.size());
       for (auto& shard : service.shards_) {
@@ -447,12 +453,12 @@ class PriorityService {
       }
       ibuf_.reserve(service.config_.insert_batch);
       dbuf_.reserve(service.config_.delete_batch);
+      if constexpr (kBatchDelete) pbuf_.resize(service.config_.delete_batch);
     }
 
     const ServiceConfig& config() const noexcept { return service_->config_; }
 
-    bool submit(key_type key, value_type value, bool block,
-                std::uint64_t ttl_us) {
+    bool submit(key_type key, value_type value, bool block) {
       CPQ_INJECT("service/submit");
       unsigned tier = 0;
       if (!block && config().policy == AdmissionPolicy::kTiered &&
@@ -462,20 +468,21 @@ class PriorityService {
       bool tier_limited = false;
       if (!service_->acquire_slot(block, tier, tier_limited)) {
         CPQ_COUNT(kServiceReject);
-        service_->rejected_.fetch_add(1, std::memory_order_relaxed);
+        counters_->rejected.fetch_add(1, std::memory_order_relaxed);
         if (tier_limited) {
           CPQ_COUNT(kServiceTierReject);
-          service_->tier_rejected_.fetch_add(1, std::memory_order_relaxed);
+          counters_->tier_rejected.fetch_add(1, std::memory_order_relaxed);
         }
         return false;
       }
-      service_->submitted_.fetch_add(1, std::memory_order_relaxed);
+      counters_->submitted.fetch_add(1, std::memory_order_relaxed);
       // One clock read per accepted submission: it feeds the batching gate
       // and stamps the TTL deadline (steady_now_us() is now_ns / 1000).
       const std::uint64_t now_ns = monotonic_ns();
       note_gap(now_ns);
+      const std::uint64_t ttl_us = config().ttl_us;
       const std::uint64_t deadline = ttl_us != 0 ? now_ns / 1000 + ttl_us : 0;
-      ibuf_.emplace_back(key, service_->encode(value, deadline));
+      ibuf_.emplace_back(key, service_->encode(cache_, value, deadline));
       if (ibuf_.size() >= config().insert_batch ||
           mean_gap_ns_ >= config().batch_gap_ns) {
         flush();
@@ -521,7 +528,7 @@ class PriorityService {
         if (!shards[first].value.breaker.allow(now) &&
             shards[second].value.breaker.allow(now)) {
           std::swap(first, second);
-          service_->count_reroute();
+          service_->count_reroute(*counters_);
         }
       }
       bool filled = refill_from(first, /*steal=*/false);
@@ -545,38 +552,52 @@ class PriorityService {
       auto& shard = service_->shards_[s].value;
       const std::uint64_t t0 = steady_now_us();  // include the chaos pause
       shard.chaos_pause();
-      key_type key{};
-      value_type value;
+      const std::size_t batch = config().delete_batch;
       std::size_t popped = 0;
-      std::size_t kept = 0;
+      key_type last_key{};
       bool ran_dry = false;
       // Cap the expired-task churn per shard visit: with a producer feeding
       // this shard dead-on-arrival tasks as fast as we shed them, an
       // uncapped loop would never run dry and never fill the batch — the
       // caller must get control back to report the sheds.
-      const std::size_t max_pops = config().delete_batch * 8;
-      while (kept < config().delete_batch && popped < max_pops) {
-        if (!inner_[s].delete_min(key, value)) {
-          ran_dry = true;
-          break;
+      const std::size_t max_pops = batch * 8;
+      if constexpr (kBatchDelete) {
+        // One call fills the buffer; later calls only replace tasks shed as
+        // expired. A short batch means the shard handle's chosen heap ran
+        // out, not the shard, so it ends the refill without marking the
+        // shard empty.
+        while (dbuf_.size() < batch && popped < max_pops) {
+          const std::size_t want =
+              std::min(batch - dbuf_.size(), max_pops - popped);
+          const std::size_t got = inner_[s].delete_batch(pbuf_.data(), want);
+          if (got == 0) {
+            ran_dry = true;
+            break;
+          }
+          popped += got;
+          last_key = pbuf_[got - 1].first;
+          for (std::size_t k = 0; k < got; ++k) keep_or_shed(pbuf_[k], t0);
+          if (got < want) break;
         }
-        ++popped;
-        const Task task = service_->decode(key, value);
-        if (task.deadline_us != 0 && t0 > task.deadline_us) {
-          service_->shed_task(task.key, task.value);
-          ++shed_in_refill_;
-          ++shed_in_pop_;
-          continue;
+      } else {
+        Item item;
+        while (dbuf_.size() < batch && popped < max_pops) {
+          if (!inner_[s].delete_min(item.first, item.second)) {
+            ran_dry = true;
+            break;
+          }
+          ++popped;
+          last_key = item.first;
+          keep_or_shed(item, t0);
         }
-        dbuf_.push_back(task);
-        ++kept;
       }
       service_->note_batch(shard, t0);
       if (popped == 0) {
         shard.note_empty();
         return false;
       }
-      shard.note_popped(popped, key, ran_dry);
+      shard.note_popped(popped, last_key, ran_dry);
+      const std::size_t kept = dbuf_.size();
       if (kept == 0) return false;
       if (steal) {
         CPQ_COUNT(kServiceSteal);
@@ -589,21 +610,37 @@ class PriorityService {
       return true;
     }
 
+    // Decode one popped task into the deletion buffer, or shed it when its
+    // deadline passed before `now_us`.
+    void keep_or_shed(const Item& item, std::uint64_t now_us) {
+      const Task task = service_->decode(cache_, item.first, item.second);
+      if (task.deadline_us != 0 && now_us > task.deadline_us) {
+        service_->shed_task(*counters_, task.key, task.value);
+        ++shed_in_refill_;
+        ++shed_in_pop_;
+        return;
+      }
+      dbuf_.push_back(task);
+    }
+
     // Bound on consecutive all-expired refill rounds inside one pop_task
     // call: enough to chew through a modest expired backlog in one call,
     // small enough that a full-expiry storm cannot starve the caller.
     static constexpr unsigned kMaxShedRounds = 4;
 
     PriorityService* service_;
+    Counters* counters_;              // this thread id's slot
     std::vector<InnerHandle> inner_;  // one per shard
     std::vector<Item> ibuf_;          // encoded, as the shard receives them
     std::uint64_t last_submit_ns_ = 0;  // monotonic_ns() of the last submit
     std::uint64_t mean_gap_ns_ = 0;     // batching gate's running mean gap
     std::vector<Task> dbuf_;
+    std::vector<Item> pbuf_;  // delete_batch's output, before decoding
     std::size_t dpos_ = 0;
     std::size_t shed_in_refill_ = 0;
     std::size_t shed_in_pop_ = 0;
     Xoroshiro128 rng_;
+    typename Pool::Cache cache_;  // free deadline slots this handle owns
   };
 
   Handle get_handle(unsigned thread_id) { return Handle(*this, thread_id); }
@@ -678,14 +715,12 @@ class PriorityService {
 
   ServiceStats stats() const {
     ServiceStats out;
-    out.submitted = submitted_.load(std::memory_order_relaxed);
-    out.rejected = rejected_.load(std::memory_order_relaxed);
-    out.tier_rejected = tier_rejected_.load(std::memory_order_relaxed);
-    out.delivered = delivered_.load(std::memory_order_relaxed);
-    out.shed_deadline = shed_deadline_.load(std::memory_order_relaxed);
-    out.retries = retries_.load(std::memory_order_relaxed);
-    out.retry_exhausted = retry_exhausted_.load(std::memory_order_relaxed);
-    out.reroutes = reroutes_.load(std::memory_order_relaxed);
+    out.submitted = sum(&Counters::submitted);
+    out.rejected = sum(&Counters::rejected);
+    out.tier_rejected = sum(&Counters::tier_rejected);
+    out.delivered = sum(&Counters::delivered);
+    out.shed_deadline = sum(&Counters::shed_deadline);
+    out.reroutes = sum(&Counters::reroutes);
     out.pool_exhausted = pool_ != nullptr ? pool_->exhausted() : 0;
     std::uint64_t flush_fill = 0;
     std::uint64_t refill_fill = 0;
@@ -727,19 +762,14 @@ class PriorityService {
   // (GaugeSet stores the pointers).
   template <typename GaugeSetT>
   void fill_gauges(GaugeSetT& g) const {
-    g.set("submitted", static_cast<double>(
-                           submitted_.load(std::memory_order_relaxed)));
-    g.set("delivered", static_cast<double>(
-                           delivered_.load(std::memory_order_relaxed)));
-    g.set("rejected",
-          static_cast<double>(rejected_.load(std::memory_order_relaxed) +
-                              tier_rejected_.load(std::memory_order_relaxed)));
-    g.set("shed", static_cast<double>(
-                      shed_deadline_.load(std::memory_order_relaxed)));
+    g.set("submitted", static_cast<double>(sum(&Counters::submitted)));
+    g.set("delivered", static_cast<double>(sum(&Counters::delivered)));
+    g.set("rejected", static_cast<double>(sum(&Counters::rejected) +
+                                          sum(&Counters::tier_rejected)));
+    g.set("shed", static_cast<double>(sum(&Counters::shed_deadline)));
     g.set("in_flight",
           static_cast<double>(in_flight_.load(std::memory_order_relaxed)));
-    g.set("reroutes",
-          static_cast<double>(reroutes_.load(std::memory_order_relaxed)));
+    g.set("reroutes", static_cast<double>(sum(&Counters::reroutes)));
     std::uint64_t flushes = 0;
     std::uint64_t refills = 0;
     std::uint64_t steals = 0;
@@ -778,18 +808,15 @@ class PriorityService {
                  static_cast<unsigned long long>(s.delivered),
                  static_cast<unsigned long long>(s.rejected), in_flight(),
                  s.mean_insert_fill, s.mean_delete_fill);
-    if (s.shed_deadline + s.tier_rejected + s.retries + s.reroutes +
-            s.breaker_trips + s.pool_exhausted >
+    if (s.shed_deadline + s.tier_rejected + s.reroutes + s.breaker_trips +
+            s.pool_exhausted >
         0) {
       std::fprintf(
           out,
-          "[cpq-service] shed=%llu tier_rejects=%llu retries=%llu "
-          "retry_exhausted=%llu reroutes=%llu breaker_trips=%llu "
-          "pool_exhausted=%llu\n",
+          "[cpq-service] shed=%llu tier_rejects=%llu reroutes=%llu "
+          "breaker_trips=%llu pool_exhausted=%llu\n",
           static_cast<unsigned long long>(s.shed_deadline),
           static_cast<unsigned long long>(s.tier_rejected),
-          static_cast<unsigned long long>(s.retries),
-          static_cast<unsigned long long>(s.retry_exhausted),
           static_cast<unsigned long long>(s.reroutes),
           static_cast<unsigned long long>(s.breaker_trips),
           static_cast<unsigned long long>(s.pool_exhausted));
@@ -861,8 +888,12 @@ class PriorityService {
                      std::memory_order_release);
     }
 
+    // Only a change is written: idle consumers re-reading an empty shard
+    // must not keep invalidating the line producers CAS the hint on.
     void note_empty() noexcept {
-      min_hint.store(kNoHint, std::memory_order_release);
+      if (min_hint.load(std::memory_order_relaxed) != kNoHint) {
+        min_hint.store(kNoHint, std::memory_order_release);
+      }
     }
 
     void chaos_pause() const {
@@ -884,11 +915,12 @@ class PriorityService {
   // DeadlinePool slot, the value becomes the tagged slot index; otherwise
   // (no deadline, pool exhausted, or non-envelope value type) the raw value
   // travels untouched and the task simply cannot be shed.
-  value_type encode(value_type value, std::uint64_t deadline_us) noexcept {
+  value_type encode(typename Pool::Cache& cache, value_type value,
+                    std::uint64_t deadline_us) noexcept {
     if constexpr (kDeadlineCapable) {
       if (deadline_us != 0 && pool_ != nullptr) {
         std::uint32_t slot = 0;
-        if (pool_->acquire(value, deadline_us, slot)) {
+        if (pool_->acquire(cache, value, deadline_us, slot)) {
           return static_cast<value_type>(kEnvelopeTag |
                                          static_cast<std::uint64_t>(slot));
         }
@@ -897,12 +929,14 @@ class PriorityService {
     return value;
   }
 
-  Task decode(key_type key, value_type value) noexcept {
+  Task decode(typename Pool::Cache& cache, key_type key,
+              value_type value) noexcept {
     if constexpr (kDeadlineCapable) {
       if (pool_ != nullptr &&
           (static_cast<std::uint64_t>(value) & kEnvelopeTag) != 0) {
-        const auto entry = pool_->take(static_cast<std::uint32_t>(
-            static_cast<std::uint64_t>(value) & 0xFFFF'FFFFull));
+        const auto entry = pool_->take(
+            cache, static_cast<std::uint32_t>(static_cast<std::uint64_t>(value) &
+                                              0xFFFF'FFFFull));
         return Task{key, entry.value, entry.deadline_us};
       }
     }
@@ -911,27 +945,35 @@ class PriorityService {
 
   // Account one shed task: counted, reported to the sink, and its in-flight
   // slot released (it will never reach delete_min's hand-off).
-  void shed_task(key_type key, value_type value) {
+  void shed_task(Counters& counters, key_type key, value_type value) {
     CPQ_COUNT(kServiceShed);
-    shed_deadline_.fetch_add(1, std::memory_order_relaxed);
+    counters.shed_deadline.fetch_add(1, std::memory_order_relaxed);
     if (shed_sink_) shed_sink_(key, value);
     release_slot();
   }
 
-  void count_reroute() noexcept {
+  static void count_reroute(Counters& counters) noexcept {
     CPQ_COUNT(kServiceReroute);
-    reroutes_.fetch_add(1, std::memory_order_relaxed);
+    counters.reroutes.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  std::uint64_t sum(std::atomic<std::uint64_t> Counters::*field) const {
+    std::uint64_t total = 0;
+    for (const auto& slot : counters_) {
+      total += (slot.value.*field).load(std::memory_order_relaxed);
+    }
+    return total;
   }
 
   // Flush routing with the breaker consulted: keep `a` if its breaker
   // admits, else fall to `b`, else scan for any admitting shard. When every
   // breaker is open, `a` is used anyway — availability beats protection.
-  std::size_t reroute_if_open(std::size_t a, std::size_t b,
-                              Xoroshiro128& rng) noexcept {
+  std::size_t reroute_if_open(std::size_t a, std::size_t b, Xoroshiro128& rng,
+                              Counters& counters) noexcept {
     const std::uint64_t now = steady_now_us();
     if (shards_[a].value.breaker.allow(now)) return a;
     if (b != kNpos && shards_[b].value.breaker.allow(now)) {
-      count_reroute();
+      count_reroute(counters);
       return b;
     }
     const std::size_t n = shards_.size();
@@ -940,7 +982,7 @@ class PriorityService {
       const std::size_t s = (start + probe) % n;
       if (s == a || s == b) continue;
       if (shards_[s].value.breaker.allow(now)) {
-        count_reroute();
+        count_reroute(counters);
         return s;
       }
     }
@@ -992,19 +1034,14 @@ class PriorityService {
 
   ServiceConfig config_;
   std::vector<CacheAligned<Shard>> shards_;
-  std::unique_ptr<DeadlinePool<value_type>> pool_;
+  std::vector<CacheAligned<Counters>> counters_;  // one per thread id
+  std::unique_ptr<Pool> pool_;
   TierMap tier_map_;
   ShedSink shed_sink_;
   const bool breaker_active_ = config_.breaker_trip_us > 0;
-  std::atomic<std::size_t> in_flight_{0};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> tier_rejected_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> shed_deadline_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> retry_exhausted_{0};
-  std::atomic<std::uint64_t> reroutes_{0};
+  // Written by every admission and release: a line of their own, away from
+  // the read-mostly members above.
+  alignas(kCacheLineSize) std::atomic<std::size_t> in_flight_{0};
   std::atomic<bool> closed_{false};
 
   friend class Handle;

@@ -4,6 +4,8 @@
 //     expiry timestamp to a queued value without widening the queue's value
 //     type. The service stores the pool index (tagged) as the queue value and
 //     resolves it back at pop time, shedding tasks whose deadline passed.
+//     Free indices sit in per-handle caches and move through one shared
+//     list in batches.
 //   * TierMap / tier_admitted — priority-aware admission: instead of the
 //     binary block/reject choice, the key space is split into tiers and
 //     lower-priority tiers are refused first as the in-flight window fills.
@@ -15,14 +17,19 @@
 // the pieces together (see priority_service.hpp).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
+#include <mutex>
+#include <numeric>
+#include <utility>
 #include <vector>
 
+#include "platform/cache.hpp"
 #include "platform/clock.hpp"
+#include "platform/spinlock.hpp"
 
 namespace cpq::service {
 
@@ -33,33 +40,47 @@ namespace cpq::service {
 // comparable to TelemetryRecord::t_ns and Chrome trace event times.
 inline std::uint64_t steady_now_us() noexcept { return monotonic_us(); }
 
-// Fixed-capacity pool of (value, deadline) slots with a Treiber-stack free
-// list. acquire() pops a free slot and fills it; take() reads a slot back and
-// returns it to the free list. Slot indices travel through the inner queue,
-// so the queue's insert/delete_min synchronization orders the plain-field
-// writes in acquire() before the reads in take(). The free-list head packs a
-// 32-bit ABA tag above the 32-bit slot index; the tag increments on every
-// pop, so a stale head value never CASes successfully.
+// Fixed-capacity pool of (value, deadline) slots. Free slot indices live in
+// per-handle Caches and, between them, in one spinlocked shared list:
+// acquire() pops an index from the caller's cache (refilling up to kBatch
+// indices from the shared list when it is empty) and fills the slot; take()
+// reads a slot back and pushes its index onto the caller's cache, which
+// returns kBatch indices to the shared list once it holds 2 * kBatch. A
+// producer and a consumer thread therefore meet on the list's lock once per
+// kBatch tasks, not on every task. Ordering: slot indices travel through
+// the inner queue, so the queue's insert/delete_min synchronization orders
+// the writes in acquire() before the reads in take(); the list's lock orders
+// a take() before the same slot's next acquire() on another thread.
 template <typename V>
 class DeadlinePool {
  public:
-  static constexpr std::uint32_t kNilSlot =
-      std::numeric_limits<std::uint32_t>::max();
+  // Indices moved between a cache and the shared list at a time.
+  static constexpr std::size_t kBatch = 32;
 
   struct Entry {
     V value{};
     std::uint64_t deadline_us = 0;
   };
 
-  explicit DeadlinePool(std::size_t capacity)
-      : slots_(capacity == 0 ? 1 : capacity) {
-    // Thread the free list through every slot: head -> 0 -> 1 -> ... -> nil.
-    for (std::size_t i = 0; i + 1 < slots_.size(); ++i) {
-      slots_[i].next.store(static_cast<std::uint32_t>(i + 1),
-                           std::memory_order_relaxed);
+  // Free slot indices owned by one handle; used by one thread at a time.
+  // Holds at most 2 * kBatch - 1 between calls. A move hands the indices
+  // over, so exactly one cache can give them back.
+  struct Cache {
+    Cache() = default;
+    Cache(Cache&& other) noexcept : count(std::exchange(other.count, 0)) {
+      std::copy_n(other.free, count, free);
     }
-    slots_.back().next.store(kNilSlot, std::memory_order_relaxed);
-    head_.store(pack(0, 0), std::memory_order_relaxed);
+    Cache& operator=(Cache&&) = delete;
+
+    std::uint32_t free[2 * kBatch]{};
+    std::size_t count = 0;
+  };
+
+  explicit DeadlinePool(std::size_t capacity)
+      : slots_(capacity == 0 ? 1 : capacity),
+        free_(slots_.size()),
+        free_count_(free_.size()) {
+    std::iota(free_.begin(), free_.end(), std::uint32_t{0});
   }
 
   DeadlinePool(const DeadlinePool&) = delete;
@@ -67,74 +88,64 @@ class DeadlinePool {
 
   std::size_t capacity() const noexcept { return slots_.size(); }
 
-  // Number of acquire() calls refused because the pool was empty. The caller
-  // falls back to enqueueing the value without a deadline, so exhaustion
-  // degrades shedding fidelity but never loses tasks.
+  // Number of acquire() calls refused because neither the caller's cache
+  // nor the shared list held a free slot. The caller falls back to
+  // enqueueing the value without a deadline, so exhaustion degrades
+  // shedding fidelity but never loses tasks.
   std::uint64_t exhausted() const noexcept {
     return exhausted_.load(std::memory_order_relaxed);
   }
 
-  // Pop a free slot, store (value, deadline_us) into it, and return its index
-  // through `slot`. Returns false (and counts the exhaustion) when no slot is
-  // free.
-  bool acquire(const V& value, std::uint64_t deadline_us,
+  // Take a free slot from `cache`, store (value, deadline_us) into it, and
+  // return its index through `slot`. Returns false (and counts the
+  // exhaustion) when no slot is free.
+  bool acquire(Cache& cache, const V& value, std::uint64_t deadline_us,
                std::uint32_t& slot) noexcept {
-    std::uint64_t head = head_.load(std::memory_order_acquire);
-    for (;;) {
-      const std::uint32_t index = unpack_index(head);
-      if (index == kNilSlot) {
-        exhausted_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-      const std::uint32_t next =
-          slots_[index].next.load(std::memory_order_relaxed);
-      if (head_.compare_exchange_weak(
-              head, pack(unpack_tag(head) + 1, next),
-              std::memory_order_acq_rel, std::memory_order_acquire)) {
-        slots_[index].value = value;
-        slots_[index].deadline_us = deadline_us;
-        slot = index;
-        return true;
-      }
+    if (cache.count == 0) {
+      std::lock_guard<UncountedSpinlock> guard(lock_);
+      const std::size_t n = std::min(kBatch, free_count_);
+      free_count_ -= n;
+      std::copy_n(free_.data() + free_count_, n, cache.free);
+      cache.count = n;
     }
+    if (cache.count == 0) {
+      exhausted_.fetch_add(1, std::memory_order_relaxed);
+      return false;
+    }
+    slot = cache.free[--cache.count];
+    slots_[slot] = Entry{value, deadline_us};
+    return true;
   }
 
-  // Read slot `slot` back and return it to the free list. The caller must own
-  // the slot (obtained from acquire() and routed through the queue exactly
+  // Read slot `slot` back and return it to `cache`. The caller must own the
+  // slot (obtained from acquire() and routed through the queue exactly
   // once).
-  Entry take(std::uint32_t slot) noexcept {
-    Entry entry{slots_[slot].value, slots_[slot].deadline_us};
-    std::uint64_t head = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      slots_[slot].next.store(unpack_index(head), std::memory_order_relaxed);
-      if (head_.compare_exchange_weak(
-              head, pack(unpack_tag(head) + 1, slot),
-              std::memory_order_acq_rel, std::memory_order_relaxed)) {
-        return entry;
-      }
-    }
+  Entry take(Cache& cache, std::uint32_t slot) noexcept {
+    const Entry entry = slots_[slot];
+    cache.free[cache.count++] = slot;
+    if (cache.count == 2 * kBatch) give_back(cache, kBatch);
+    return entry;
+  }
+
+  // Return every index `cache` holds to the shared list (handle teardown).
+  void release(Cache& cache) noexcept {
+    if (cache.count > 0) give_back(cache, cache.count);
   }
 
  private:
-  struct Slot {
-    V value{};
-    std::uint64_t deadline_us = 0;
-    std::atomic<std::uint32_t> next{kNilSlot};
-  };
-
-  static std::uint64_t pack(std::uint64_t tag, std::uint32_t index) noexcept {
-    return (tag << 32) | index;
-  }
-  static std::uint32_t unpack_index(std::uint64_t head) noexcept {
-    return static_cast<std::uint32_t>(head);
-  }
-  static std::uint64_t unpack_tag(std::uint64_t head) noexcept {
-    return head >> 32;
+  void give_back(Cache& cache, std::size_t n) noexcept {
+    cache.count -= n;
+    std::lock_guard<UncountedSpinlock> guard(lock_);
+    std::copy_n(cache.free + cache.count, n, free_.data() + free_count_);
+    free_count_ += n;
   }
 
-  std::vector<Slot> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  std::vector<Entry> slots_;
+  std::vector<std::uint32_t> free_;  // shared list: free_[0, free_count_)
   std::atomic<std::uint64_t> exhausted_{0};
+  // What every cache refill and give-back writes, on a line of its own.
+  alignas(kCacheLineSize) UncountedSpinlock lock_;
+  std::size_t free_count_ = 0;  // guarded by lock_
 };
 
 // Key-space tiers for priority-aware admission. Tier 0 holds the smallest

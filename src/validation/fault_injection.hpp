@@ -37,6 +37,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -65,13 +67,24 @@ struct InjectionState {
   std::atomic<std::uint64_t> seed{42};
   std::atomic<std::uint8_t> action{0};  // FaultAction
   // Substring a site name must contain for the hook to fire; nullptr = all
-  // sites. The pointed-to string is intentionally leaked on reconfiguration
-  // so racing readers never observe a freed buffer.
+  // sites. Points into retain_site_filter()'s list, which never frees, so
+  // racing readers never observe a freed buffer.
   std::atomic<const char*> site_filter{nullptr};
   // Bumped by configure(); threads reseed their stream on the next crossing.
   std::atomic<std::uint64_t> generation{1};
   std::atomic<std::uint64_t> fired{0};
 };
+
+// A copy of `filter` that lives until exit and stays reachable: every
+// configured filter is kept (deque elements never move), so a crossing still
+// reading an old filter never sees freed memory, and leak checkers do not
+// report the strings.
+inline const char* retain_site_filter(const char* filter) {
+  static std::mutex mutex;
+  static auto* kept = new std::deque<std::string>();
+  std::lock_guard<std::mutex> guard(mutex);
+  return kept->emplace_back(filter).c_str();
+}
 
 inline InjectionState& injection_state() {
   static InjectionState state;
@@ -87,7 +100,8 @@ inline InjectionState& injection_state() {
     }
     if (const char* sites = std::getenv("CPQ_INJECT_SITES")) {
       if (sites[0] != '\0') {
-        state.site_filter.store(strdup(sites), std::memory_order_release);
+        state.site_filter.store(retain_site_filter(sites),
+                                std::memory_order_release);
       }
     }
     return true;
@@ -100,7 +114,7 @@ inline InjectionState& injection_state() {
 // firings per million hook crossings; 0 disables. site_filter restricts
 // firing to sites whose name contains the given substring (e.g. "ebr" or
 // "service/submit"); nullptr or "" fires at every site. Each call replaces
-// the previous filter (the old string is leaked — reconfiguration is a rare,
+// the previous filter (the old string is kept — reconfiguration is a rare,
 // test-only event and racing crossings must never read freed memory).
 inline void fault_injection_configure(std::uint32_t ppm, std::uint64_t seed,
                                       FaultAction action = FaultAction::kDelay,
@@ -110,8 +124,9 @@ inline void fault_injection_configure(std::uint32_t ppm, std::uint64_t seed,
   state.action.store(static_cast<std::uint8_t>(action),
                      std::memory_order_relaxed);
   state.site_filter.store(
-      site_filter != nullptr && site_filter[0] != '\0' ? strdup(site_filter)
-                                                       : nullptr,
+      site_filter != nullptr && site_filter[0] != '\0'
+          ? retain_site_filter(site_filter)
+          : nullptr,
       std::memory_order_release);
   state.ppm.store(ppm, std::memory_order_relaxed);
   state.generation.fetch_add(1, std::memory_order_acq_rel);

@@ -26,6 +26,7 @@
 #include "queues/linden.hpp"
 #include "queues/mound.hpp"
 #include "queues/multiqueue.hpp"
+#include "queues/multiqueue_eng.hpp"
 #include "queues/shavit_lotan.hpp"
 #include "queues/spraylist.hpp"
 #include "queues/sundell_tsigas.hpp"
@@ -339,6 +340,34 @@ TEST(MultiQueueMaxKey, MaximalKeySortsAfterEverythingElse) {
   // maximal key must still be present.
   EXPECT_EQ(std::count(keys.begin(), keys.end(), kMax), 1);
   EXPECT_EQ(std::count(keys.begin(), keys.end(), 10u), 1);
+}
+
+// mq-eng's caller-buffered pop: up to n ascending minima of one local
+// queue, none parked in the handle, 0 once every queue is empty.
+TEST(EngMultiQueueDeleteBatch, PopsAscendingMinimaOfOneHeapAndNoMore) {
+  using Eng = EngMultiQueue<K, V>;
+  using Item = Eng::Item;
+  Eng queue(2);
+  auto a = queue.get_handle(0);
+  auto b = queue.get_handle(1);
+  Item out[64];
+  EXPECT_EQ(a.delete_batch(out, 8), 0u);
+
+  // insert_batch lands the whole batch in one local queue.
+  std::vector<Item> items;
+  for (K k = 0; k < 20; ++k) items.emplace_back((k * 7) % 20, k);
+  a.insert_batch(items.data(), items.size());
+
+  ASSERT_EQ(a.delete_batch(out, 8), 8u);
+  for (K k = 0; k < 8; ++k) EXPECT_EQ(out[k].first, k);
+  // Another handle pops the rest of that heap ...
+  ASSERT_EQ(b.delete_batch(out, 64), 12u);
+  for (K k = 0; k < 12; ++k) EXPECT_EQ(out[k].first, k + 8);
+  // ... and nothing was parked in a's own deletion buffer.
+  K key;
+  V value;
+  EXPECT_FALSE(a.delete_min(key, value));
+  EXPECT_EQ(b.delete_batch(out, 64), 0u);
 }
 
 TYPED_TEST(QueueSequentialTest, ManyHandlesOneThreadStillCorrect) {

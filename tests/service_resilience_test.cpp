@@ -1,6 +1,6 @@
 // Overload-resilience coverage: the building blocks in service/resilience.hpp
 // (DeadlinePool, TierMap/tier_admitted, CircuitBreaker), their integration
-// into PriorityService (deadline shedding, tiered admission, retry,
+// into PriorityService (deadline shedding, tiered admission,
 // breaker-driven rerouting), close() idempotence under concurrent inserts,
 // the shed-aware open-loop bench, and stall-dump filename uniqueness.
 
@@ -36,47 +36,88 @@ std::unique_ptr<PriorityService<Lock>> make_lock_service(
 
 // ---------------------------------------------------------------- pool
 
+using Pool = DeadlinePool<V>;
+constexpr std::uint32_t kNoSlot = 0xFFFF'FFFFu;
+
 TEST(DeadlinePool, AcquireTakeRoundTrips) {
-  DeadlinePool<V> pool(4);
-  std::uint32_t slot = DeadlinePool<V>::kNilSlot;
-  ASSERT_TRUE(pool.acquire(777, 123456, slot));
-  ASSERT_NE(slot, DeadlinePool<V>::kNilSlot);
-  const auto entry = pool.take(slot);
+  Pool pool(4);
+  Pool::Cache cache;
+  std::uint32_t slot = kNoSlot;
+  ASSERT_TRUE(pool.acquire(cache, 777, 123456, slot));
+  ASSERT_NE(slot, kNoSlot);
+  const auto entry = pool.take(cache, slot);
   EXPECT_EQ(entry.value, 777u);
   EXPECT_EQ(entry.deadline_us, 123456u);
   EXPECT_EQ(pool.exhausted(), 0u);
 }
 
+// Exhaustion counts only when the caller's cache and the shared list are
+// both empty: slots parked in another handle's cache are unavailable until
+// that cache gives them back.
 TEST(DeadlinePool, ExhaustsAtCapacityAndRecyclesFreedSlots) {
-  DeadlinePool<V> pool(2);
+  Pool pool(2);
+  Pool::Cache mine;
+  Pool::Cache other;
   std::uint32_t a = 0;
   std::uint32_t b = 0;
   std::uint32_t c = 0;
-  ASSERT_TRUE(pool.acquire(1, 10, a));
-  ASSERT_TRUE(pool.acquire(2, 20, b));
-  EXPECT_FALSE(pool.acquire(3, 30, c));
+  ASSERT_TRUE(pool.acquire(mine, 1, 10, a));
+  ASSERT_TRUE(pool.acquire(mine, 2, 20, b));
+  EXPECT_FALSE(pool.acquire(mine, 3, 30, c));
   EXPECT_EQ(pool.exhausted(), 1u);
-  EXPECT_EQ(pool.take(a).value, 1u);
-  ASSERT_TRUE(pool.acquire(4, 40, c));
-  EXPECT_EQ(pool.take(c).value, 4u);
-  EXPECT_EQ(pool.take(b).value, 2u);
+  EXPECT_EQ(pool.take(mine, a).value, 1u);
+  EXPECT_FALSE(pool.acquire(other, 3, 30, c));
+  EXPECT_EQ(pool.exhausted(), 2u);
+  ASSERT_TRUE(pool.acquire(mine, 4, 40, c));
+  EXPECT_EQ(pool.take(mine, c).value, 4u);
+  EXPECT_EQ(pool.take(mine, b).value, 2u);
+  pool.release(mine);
+  ASSERT_TRUE(pool.acquire(other, 5, 50, a));
+  ASSERT_TRUE(pool.acquire(other, 6, 60, b));
+  EXPECT_EQ(pool.exhausted(), 2u);
+}
+
+// A service handle is moved after it has pooled slots (a vector of
+// handles grows); the moved-from handle is still destroyed, so its cache
+// must have handed the indices over or they would return twice.
+TEST(DeadlinePool, MovedCacheHandsItsSlotsOver) {
+  Pool pool(2 * Pool::kBatch);
+  Pool::Cache from;
+  std::uint32_t slot = 0;
+  ASSERT_TRUE(pool.acquire(from, 1, 1, slot));
+  pool.take(from, slot);
+  Pool::Cache to(std::move(from));
+  EXPECT_EQ(from.count, 0u);
+  pool.release(from);
+  pool.release(to);
+  Pool::Cache fresh;
+  std::set<std::uint32_t> seen;
+  std::size_t acquired = 0;
+  while (pool.acquire(fresh, 2, 2, slot)) {
+    seen.insert(slot);
+    ++acquired;
+  }
+  EXPECT_EQ(acquired, pool.capacity());
+  EXPECT_EQ(seen.size(), pool.capacity());
+  EXPECT_EQ(pool.exhausted(), 1u);
 }
 
 TEST(DeadlinePool, ConcurrentAcquireTakeNeverDuplicatesSlots) {
-  DeadlinePool<V> pool(16);
+  Pool pool(16);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> ops{0};
   std::vector<std::thread> team;
   for (unsigned t = 0; t < 4; ++t) {
     team.emplace_back([&, t] {
+      Pool::Cache cache;
       std::uint32_t slots[4];
       while (!stop.load(std::memory_order_relaxed)) {
         unsigned held = 0;
         for (unsigned i = 0; i < 4; ++i) {
-          if (pool.acquire(t * 100 + i, i, slots[held])) ++held;
+          if (pool.acquire(cache, t * 100 + i, i, slots[held])) ++held;
         }
         for (unsigned i = 0; i < held; ++i) {
-          const auto entry = pool.take(slots[i]);
+          const auto entry = pool.take(cache, slots[i]);
           // The slot content must be what *this* thread wrote: a duplicated
           // slot hand-out would tear these.
           EXPECT_EQ(entry.value / 100, t);
@@ -84,12 +125,64 @@ TEST(DeadlinePool, ConcurrentAcquireTakeNeverDuplicatesSlots) {
         }
         ops.fetch_add(held, std::memory_order_relaxed);
       }
+      pool.release(cache);
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   stop.store(true);
   for (auto& t : team) t.join();
   EXPECT_GT(ops.load(), 0u);
+}
+
+// The service's shape: one thread only acquires, another only takes, so
+// every slot crosses threads through the shared list. A ring of kBatch
+// entries stands in for the queue (its release/acquire pair orders each
+// slot's writes before its reads) and bounds the slots in transit. The
+// caches then hold at most kBatch + 2 * kBatch - 1 indices, so with
+// capacity 4 * kBatch the shared list never runs dry.
+TEST(DeadlinePool, CachesMoveSlotsBetweenThreadsWithoutExhaustion) {
+  constexpr std::size_t kRing = Pool::kBatch;
+  constexpr std::uint64_t kTasks = 200'000;
+  Pool pool(4 * Pool::kBatch);
+  std::uint32_t ring[kRing] = {};
+  std::atomic<std::uint64_t> head{0};  // next to take
+  std::atomic<std::uint64_t> tail{0};  // next to fill
+  std::atomic<std::uint64_t> torn{0};
+  std::atomic<bool> refused{false};  // the producer's acquire failed
+  std::thread consumer([&] {
+    Pool::Cache cache;
+    for (std::uint64_t i = 0; i < kTasks; ++i) {
+      while (tail.load(std::memory_order_acquire) == i) {
+        if (refused.load()) break;
+        std::this_thread::yield();
+      }
+      if (tail.load(std::memory_order_acquire) == i) break;
+      const auto entry = pool.take(cache, ring[i % kRing]);
+      head.store(i + 1, std::memory_order_release);
+      if (entry.value != i || entry.deadline_us != 3 * i + 1) {
+        torn.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    pool.release(cache);
+  });
+  Pool::Cache cache;
+  for (std::uint64_t i = 0; i < kTasks; ++i) {
+    while (i - head.load(std::memory_order_acquire) == kRing) {
+      std::this_thread::yield();
+    }
+    std::uint32_t slot = 0;
+    if (!pool.acquire(cache, i, 3 * i + 1, slot)) {
+      refused.store(true);
+      break;
+    }
+    ring[i % kRing] = slot;
+    tail.store(i + 1, std::memory_order_release);
+  }
+  pool.release(cache);
+  consumer.join();
+  EXPECT_FALSE(refused.load());
+  EXPECT_EQ(pool.exhausted(), 0u);
+  EXPECT_EQ(torn.load(), 0u);
 }
 
 // ---------------------------------------------------------------- tiers
@@ -263,60 +356,6 @@ TEST(ServiceResilience, TieredAdmissionRefusesLowPriorityFirst) {
   const ServiceStats stats = service->stats();
   EXPECT_EQ(stats.tier_rejected, 1u);
   EXPECT_EQ(stats.rejected, 1u);
-}
-
-// ----------------------------------------------------------------- retry
-
-TEST(ServiceResilience, SubmitWithRetryBacksOffThenGivesUp) {
-  ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
-  cfg.max_in_flight = 1;
-  cfg.policy = AdmissionPolicy::kReject;
-  cfg.retry_limit = 2;
-  cfg.retry_base_us = 10;
-  auto service = make_lock_service(1, cfg);
-  auto handle = service->get_handle(0);
-  ASSERT_TRUE(handle.submit_with_retry(1, 1));
-  // Window full and nobody pops: the retries must exhaust.
-  EXPECT_FALSE(handle.submit_with_retry(2, 2));
-  const ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.retries, 2u);
-  EXPECT_EQ(stats.retry_exhausted, 1u);
-}
-
-TEST(ServiceResilience, SubmitWithRetrySucceedsWhenWindowDrains) {
-  ServiceConfig cfg;
-  cfg.shards = 1;
-  cfg.insert_batch = 1;
-  cfg.delete_batch = 1;
-  cfg.max_in_flight = 1;
-  cfg.policy = AdmissionPolicy::kReject;
-  cfg.retry_limit = 64;
-  cfg.retry_base_us = 100;
-  auto service = make_lock_service(2, cfg);
-  auto producer = service->get_handle(0);
-  ASSERT_TRUE(producer.try_submit(1, 1));
-  std::thread drainer([&] {
-    // Pop only after the submitter has provably been rejected at least
-    // once — a fixed sleep loses this race on a loaded 1-CPU box (the
-    // main thread can be descheduled past it, and the first attempt then
-    // succeeds with zero retries). Deadline-bounded so a wedged
-    // submitter still fails the test instead of hanging it.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (service->stats().retries == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    auto consumer = service->get_handle(1);
-    K key;
-    V value;
-    EXPECT_TRUE(consumer.delete_min(key, value));
-  });
-  EXPECT_TRUE(producer.submit_with_retry(2, 2));
-  drainer.join();
-  EXPECT_GT(service->stats().retries, 0u);
 }
 
 // --------------------------------------------------------------- breaker

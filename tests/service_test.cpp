@@ -1,10 +1,11 @@
 // Unit tests for the PriorityService dispatch layer: delivery and ordering
 // under batching, the rate gate on batching, admission control (reject and
-// blocking backpressure), close()/drain() shutdown, per-shard counters, and the
-// open-loop service bench harness (including its CheckedQueue mode). The
-// batching and bookkeeping cases run over two shard types: a strict
-// global-lock heap, and mq-eng, whose handles have an insertion buffer of
-// their own that a service flush must not strand tasks in.
+// blocking backpressure), close()/drain() shutdown, per-shard and per-thread
+// counters, and the open-loop service bench harness (including its
+// CheckedQueue mode). The batching and bookkeeping cases run over two shard
+// types: a strict global-lock heap, and mq-eng, whose handles have insertion
+// and deletion buffers of their own that the service must not strand tasks
+// in.
 
 #include <gtest/gtest.h>
 
@@ -212,6 +213,91 @@ TEST(PriorityService, ZeroGapPublishesEverySubmission) {
       EXPECT_EQ(key, k);
     }
     EXPECT_EQ(service->stats().flushes, 20u);
+  });
+}
+
+// A refill takes one delete_batch from an mq-eng heap and nothing more: the
+// rest of that heap stays poppable by every other consumer instead of
+// waiting in the first consumer's shard-handle buffer.
+TEST(PriorityService, RefillLeavesRestOfHeapVisible) {
+  ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.insert_batch = 16;
+  cfg.delete_batch = 8;
+  cfg.batch_gap_ns = kCountOnly;
+  auto service = make_service<MqEng>(3, cfg);
+  auto producer = service->get_handle(0);
+  auto a = service->get_handle(1);
+  auto b = service->get_handle(2);
+  for (K k = 1; k <= 16; ++k) producer.insert(k, k);
+  producer.flush();
+  K key;
+  V value;
+  ASSERT_TRUE(a.delete_min(key, value));
+  EXPECT_EQ(a.buffered_deletes(), 7u);
+  std::size_t popped = 0;
+  while (b.delete_min(key, value)) ++popped;
+  EXPECT_EQ(popped, 8u);
+}
+
+// Service-wide counters live in per-thread-id slots. Four threads on two
+// thread ids (two handles per slot) mix try_submit and delete_min; once
+// every handle is gone and the rest is drained, the summed slots must
+// account for every call exactly. Under kReject every refusal is a plain
+// one; under kTiered with only lower-tier keys the window never fills, so
+// every refusal comes from the tier gate.
+TEST(PriorityService, PerThreadCountersSumExactly) {
+  for_each_shard_type([](auto shard_type) {
+    using Q = typename decltype(shard_type)::type;
+    for (const AdmissionPolicy policy :
+         {AdmissionPolicy::kReject, AdmissionPolicy::kTiered}) {
+      SCOPED_TRACE(policy == AdmissionPolicy::kReject ? "kReject" : "kTiered");
+      constexpr unsigned kThreads = 4;
+      ServiceConfig cfg;
+      cfg.shards = 2;
+      cfg.max_in_flight = 32;
+      cfg.policy = policy;
+      cfg.tiers = 2;
+      cfg.tier_key_space = 2000;  // keys >= 1000 are the lower tier
+      auto service = make_service<Q>(2, cfg);
+      std::atomic<std::uint64_t> accepted{0};
+      std::atomic<std::uint64_t> refused{0};
+      std::atomic<std::uint64_t> delivered{0};
+      run_team(kThreads, [&](unsigned tid) {
+        auto handle = service->get_handle(tid % 2);
+        Xoroshiro128 rng(thread_seed(0xc0de, tid));
+        std::uint64_t ok = 0;
+        std::uint64_t no = 0;
+        std::uint64_t got = 0;
+        for (std::uint64_t i = 0; i < 20000; ++i) {
+          if (rng.next_below(100) < 70) {
+            const K k = 1000 + rng.next_below(1000);
+            if (handle.try_submit(k, (std::uint64_t{tid} << 32) | i)) {
+              ++ok;
+            } else {
+              ++no;
+            }
+          } else {
+            K k;
+            V v;
+            if (handle.delete_min(k, v)) ++got;
+          }
+        }
+        accepted.fetch_add(ok);
+        refused.fetch_add(no);
+        delivered.fetch_add(got);
+      });
+      const std::size_t drained = service->drain([](K, V) {});
+      const ServiceStats stats = service->stats();
+      EXPECT_GT(refused.load(), 0u);
+      EXPECT_EQ(stats.submitted, accepted.load());
+      EXPECT_EQ(stats.delivered, delivered.load());
+      EXPECT_EQ(stats.submitted, stats.delivered + drained);
+      EXPECT_EQ(stats.rejected, refused.load());
+      EXPECT_EQ(stats.tier_rejected,
+                policy == AdmissionPolicy::kTiered ? refused.load() : 0u);
+      EXPECT_EQ(service->in_flight(), 0u);
+    }
   });
 }
 

@@ -523,21 +523,32 @@ TYPED_TEST_SUITE(ServiceTortureTest, QueueTypes);
 
 // The two insertion publication paths: the default rate gate, which under
 // injected delays mostly publishes one task per flush, and count-only
-// batching, which keeps the multi-task flush under audit.
-const std::uint64_t kServiceBatchGaps[] = {
-    service::ServiceConfig{}.batch_gap_ns,
-    std::numeric_limits<std::uint64_t>::max()};
+// batching, which keeps the multi-task flush under audit. The third setting
+// is the default gate with a TTL nothing reaches: every task then carries a
+// deadline slot from its producer's slot cache to its consumer's, so the
+// caches' cross-thread hand-off is audited too, with nothing shed.
+struct ServiceTortureSetting {
+  std::uint64_t batch_gap_ns;
+  std::uint64_t ttl_us;
+};
+const ServiceTortureSetting kServiceSettings[] = {
+    {service::ServiceConfig{}.batch_gap_ns, 0},
+    {std::numeric_limits<std::uint64_t>::max(), 0},
+    {service::ServiceConfig{}.batch_gap_ns, 60'000'000},
+};
 
 TYPED_TEST(ServiceTortureTest, DispatchConservesTasksUnderInjection) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kOpsPerThread = 4000;
-  for (const std::uint64_t gap : kServiceBatchGaps) {
-    SCOPED_TRACE(testing::Message() << "batch_gap_ns=" << gap);
+  for (const ServiceTortureSetting& setting : kServiceSettings) {
+    SCOPED_TRACE(testing::Message() << "batch_gap_ns=" << setting.batch_gap_ns
+                                    << " ttl_us=" << setting.ttl_us);
     service::ServiceConfig scfg;
     scfg.shards = 2;
     scfg.insert_batch = 4;
     scfg.delete_batch = 4;
-    scfg.batch_gap_ns = gap;
+    scfg.batch_gap_ns = setting.batch_gap_ns;
+    scfg.ttl_us = setting.ttl_us;
     using Service = service::PriorityService<TypeParam>;
     validation::CheckedQueue<Service> queue(
         kThreads, make_service<TypeParam>(kThreads, scfg));
@@ -560,6 +571,7 @@ TYPED_TEST(ServiceTortureTest, DispatchConservesTasksUnderInjection) {
     const validation::ReconcileReport report = queue.reconcile();
     EXPECT_TRUE(report.ok()) << report.to_string();
     EXPECT_GT(report.inserted, 0u);
+    EXPECT_EQ(queue.inner().stats().shed_deadline, 0u);
   }
 }
 
@@ -569,15 +581,17 @@ TYPED_TEST(ServiceTortureTest, DispatchConservesTasksUnderInjection) {
 TYPED_TEST(ServiceTortureTest, BackpressureShutdownConservesTasks) {
   constexpr unsigned kThreads = 4;
   constexpr std::uint64_t kPerProducer = 4000;
-  for (const std::uint64_t gap : kServiceBatchGaps) {
-    SCOPED_TRACE(testing::Message() << "batch_gap_ns=" << gap);
+  for (const ServiceTortureSetting& setting : kServiceSettings) {
+    SCOPED_TRACE(testing::Message() << "batch_gap_ns=" << setting.batch_gap_ns
+                                    << " ttl_us=" << setting.ttl_us);
     service::ServiceConfig scfg;
     scfg.shards = 2;
     scfg.insert_batch = 4;
     scfg.delete_batch = 4;
     scfg.max_in_flight = 64;
     scfg.policy = service::AdmissionPolicy::kBlock;
-    scfg.batch_gap_ns = gap;
+    scfg.batch_gap_ns = setting.batch_gap_ns;
+    scfg.ttl_us = setting.ttl_us;
     using Service = service::PriorityService<TypeParam>;
     validation::CheckedQueue<Service> queue(
         kThreads, make_service<TypeParam>(kThreads, scfg));
@@ -608,6 +622,7 @@ TYPED_TEST(ServiceTortureTest, BackpressureShutdownConservesTasks) {
     const validation::ReconcileReport report = queue.reconcile();
     EXPECT_TRUE(report.ok()) << report.to_string();
     EXPECT_EQ(report.inserted, 2 * kPerProducer);
+    EXPECT_EQ(queue.inner().stats().shed_deadline, 0u);
   }
 }
 
