@@ -168,14 +168,14 @@ void BM_BlockClaimMergeHalfClaimed(benchmark::State& state) {
 BENCHMARK(BM_BlockClaimMergeHalfClaimed)->Arg(4096)->Arg(65536);
 
 // The raw merge kernels, decoupled from slot claiming: scalar oracle vs the
-// branch-free unrolled loop vs the SSE4.2 variant (when the host supports
-// it). Items/sec here bound how fast claim_merge can ever go. The second
-// argument selects the take pattern, which decides the contest: 0 strictly
-// alternates (a branch predictor's best case, flattering the scalar loop),
-// 1 draws both runs from the same uniform distribution — rotating through
-// many distinct input pairs, because repeating ONE random merge lets the
-// predictor memorize its take sequence and report a fantasy number; the
-// k-LSM cascade merges a fresh pattern every time.
+// branch-free unrolled loop. Items/sec here bound how fast claim_merge can
+// ever go. The second argument selects the take pattern, which decides the
+// contest: 0 strictly alternates (a branch predictor's best case,
+// flattering the scalar loop), 1 draws both runs from the same uniform
+// distribution — rotating through many distinct input pairs, because
+// repeating ONE random merge lets the predictor memorize its take sequence
+// and report a fantasy number; the k-LSM cascade merges a fresh pattern
+// every time.
 template <int Kernel>
 void BM_MergeKernel(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -204,17 +204,6 @@ void BM_MergeKernel(benchmark::State& state) {
     as.push_back(std::move(a));
     bs.push_back(std::move(b));
   }
-  if constexpr (Kernel == 2) {
-#if CPQ_MERGE_HAVE_SSE42_TARGET
-    if (!cpq::klsm_detail::merge_simd_available()) {
-      state.SkipWithError("SSE4.2 not available");
-      return;
-    }
-#else
-    state.SkipWithError("SSE4.2 kernel not compiled in");
-    return;
-#endif
-  }
   std::size_t which = 0;
   for (auto _ : state) {
     const Item* a = as[which].data();
@@ -224,13 +213,9 @@ void BM_MergeKernel(benchmark::State& state) {
     if constexpr (Kernel == 0) {
       produced =
           cpq::klsm_detail::merge_sorted_scalar(a, n, b, n, out.data());
-    } else if constexpr (Kernel == 1) {
+    } else {
       produced =
           cpq::klsm_detail::merge_sorted_branchfree(a, n, b, n, out.data());
-    } else {
-#if CPQ_MERGE_HAVE_SSE42_TARGET
-      produced = cpq::klsm_detail::merge_sorted_simd(a, n, b, n, out.data());
-#endif
     }
     benchmark::DoNotOptimize(produced);
     benchmark::DoNotOptimize(out.data());
@@ -243,11 +228,6 @@ BENCHMARK(BM_MergeKernel<0>)
     ->Args({128, 1})
     ->Args({4096, 1});
 BENCHMARK(BM_MergeKernel<1>)
-    ->Args({128, 0})
-    ->Args({4096, 0})
-    ->Args({128, 1})
-    ->Args({4096, 1});
-BENCHMARK(BM_MergeKernel<2>)
     ->Args({128, 0})
     ->Args({4096, 0})
     ->Args({128, 1})

@@ -257,7 +257,7 @@ class Block {
 //
 // Drain-then-merge: each block's still-live items are first claimed out in
 // order into per-thread scratch runs, then the runs are combined with the
-// branch-free / SIMD kernel (merge_kernel.hpp). Compared to the old
+// branch-free kernel (merge_kernel.hpp). Compared to the old
 // interleaved claim-and-compare loop this (a) removes the per-element
 // mispredicted winner branch from the comparison loop, and (b) sizes the
 // result exactly — the old `reserve(a.live_estimate() + b.live_estimate())`

@@ -9,39 +9,23 @@
 // claimable slots first and then merges plain arrays with one of the
 // kernels below.
 //
-// Three implementations, one contract (stable two-finger merge: ties take
+// Two implementations, one contract (stable two-finger merge: ties take
 // from `a` first, matching the original claim_merge tie-break):
 //
 //   merge_sorted_scalar     – textbook loop; the oracle the tests fuzz
-//                             the fast kernels against.
+//                             the branch-free kernel against.
 //   merge_sorted_branchfree – replaces the take-a/take-b branch with a
 //                             pointer select + boolean index bump, which
 //                             GCC/Clang compile to cmov; unrolled x4 so the
 //                             selects pipeline instead of serializing on a
 //                             mispredicted branch per element.
-//   merge_sorted_simd       – SSE4.2 variant for the benchmark-shaped
-//                             uint64_t/uint64_t items: a 16-byte pair is one
-//                             vector, the winner is picked with a 64-bit
-//                             compare + blend, and the cursor advance is a
-//                             movemask bit. Compiled with a per-function
-//                             target attribute (the build has no -march
-//                             flags) and dispatched behind a cached
-//                             __builtin_cpu_supports check.
 //
-// merge_sorted() picks the best kernel for the instantiated item type.
+// merge_sorted() is the one the cascade calls. An SSE4.2 blend kernel was
+// measured and removed: it ran slower than the branch-free loop (X10).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <type_traits>
 #include <utility>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define CPQ_MERGE_HAVE_SSE42_TARGET 1
-#include <immintrin.h>
-#else
-#define CPQ_MERGE_HAVE_SSE42_TARGET 0
-#endif
 
 namespace cpq::klsm_detail {
 
@@ -108,72 +92,14 @@ inline std::size_t merge_sorted_branchfree(const Item* a, std::size_t na,
   return k;
 }
 
-#if CPQ_MERGE_HAVE_SSE42_TARGET
-
-using U64Item = std::pair<std::uint64_t, std::uint64_t>;
-static_assert(sizeof(U64Item) == 16,
-              "SIMD kernel assumes a 16-byte (key, value) pair");
-
-// True once at process start if the CPU has SSE4.2 (for PCMPGTQ). The
-// build targets baseline x86-64, so this must be a runtime decision.
-inline bool merge_simd_available() noexcept {
-  static const bool available = __builtin_cpu_supports("sse4.2");
-  return available;
-}
-
-// SSE4.2 merge for uint64_t/uint64_t items (bench_key/bench_value — the
-// shape every roster queue instantiates). One item is one XMM register;
-// the signed PCMPGTQ becomes an unsigned compare by flipping the key sign
-// bits first; the compare result for lane 0 (the key) is broadcast over
-// the whole register so a single blend moves the winning pair.
-__attribute__((target("sse4.2"))) inline std::size_t merge_sorted_simd(
-    const U64Item* a, std::size_t na, const U64Item* b, std::size_t nb,
-    U64Item* out) {
-  std::size_t i = 0, j = 0, k = 0;
-  const __m128i sign = _mm_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-  while (i < na && j < nb) {
-    const __m128i va =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&a[i]));
-    const __m128i vb =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(&b[j]));
-    // take_b  <=>  b.key < a.key  <=>  signed (a.key^sign) > (b.key^sign).
-    const __m128i gt =
-        _mm_cmpgt_epi64(_mm_xor_si128(va, sign), _mm_xor_si128(vb, sign));
-    const __m128i take_b = _mm_shuffle_epi32(gt, _MM_SHUFFLE(1, 0, 1, 0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(&out[k]),
-                     _mm_blendv_epi8(va, vb, take_b));
-    const std::size_t adv_b =
-        static_cast<std::size_t>(_mm_movemask_epi8(take_b) & 1);
-    ++k;
-    i += 1 - adv_b;
-    j += adv_b;
-  }
-  while (i < na) out[k++] = a[i++];
-  while (j < nb) out[k++] = b[j++];
-  return k;
-}
-
-#endif  // CPQ_MERGE_HAVE_SSE42_TARGET
-
-// Dispatcher. The branch-free kernel is the default: on varied random
-// interleavings (BM_MergeKernel's rotating-input mode — the cascade's real
-// regime) it sustains ~225M items/s against ~146M for the branchy loop and
-// ~153M for the SSE4.2 variant, whose one-element-per-iteration blend
-// serializes on the same compare latency the cmov does while adding shuffle
-// and movemask work. Define CPQ_MERGE_PREFER_SIMD to dispatch uint64 pairs
-// to the vector kernel instead (behind the runtime feature check) on
-// microarchitectures where it measures faster. All kernels produce
-// byte-identical output.
+// The cascade's kernel: branch-free. On varied random interleavings
+// (BM_MergeKernel's rotating-input mode — the cascade's real regime) it
+// sustains ~225M items/s against ~146M for the branchy loop; the removed
+// SSE4.2 blend managed ~153M, its one-element-per-iteration blend
+// serializing on the same compare latency the cmov does.
 template <typename Item>
 inline std::size_t merge_sorted(const Item* a, std::size_t na, const Item* b,
                                 std::size_t nb, Item* out) {
-#if CPQ_MERGE_HAVE_SSE42_TARGET && defined(CPQ_MERGE_PREFER_SIMD)
-  if constexpr (std::is_same_v<Item, U64Item>) {
-    if (merge_simd_available()) {
-      return merge_sorted_simd(a, na, b, nb, out);
-    }
-  }
-#endif
   return merge_sorted_branchfree(a, na, b, nb, out);
 }
 

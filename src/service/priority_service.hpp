@@ -39,9 +39,14 @@
 //     consumer. A short batch (that heap ran out) ends the refill; further
 //     calls only replace tasks shed as expired. Other shard queues are
 //     popped one delete_min at a time.
-//   * admission control: a global in-flight bound with reject, block
+//   * admission control: an optional in-flight bound with reject, block
 //     (backpressure), or tiered policy, plus graceful close() + drain()
-//     shutdown.
+//     shutdown. A bounded window's admissions CAS one shared counter, but a
+//     consumer handle returns the slots of the tasks it delivered or shed
+//     with one fetch_sub when its deletion buffer drains (and before its
+//     own next submission, on a move and at teardown), not one per
+//     hand-off. An unbounded service keeps no shared in-flight counter at
+//     all; in_flight() is summed from the per-thread counters.
 //
 // Overload resilience (see service/resilience.hpp for the building blocks):
 //
@@ -77,17 +82,18 @@
 // tasks back to a shard on destruction. tests/torture_test.cpp audits this
 // through CheckedQueue under fault injection for every roster queue.
 //
-// Counters: per-shard (enqueued, dequeued, flushes, refills, steals, shed,
-// breaker trips, batch fill) and service-wide (submitted, rejected, tier
-// rejections, delivered, re-routes, shed). The service-wide ones live in one
-// cache-line slot per thread id, summed by stats(), so submits and hand-offs
-// on different threads never write a shared line; the in-flight bound and
-// the closed flag share a line of their own. The shard's load and minimum
-// hints and its enqueued/dequeued counts are updated once per flush or
-// refill batch, not per task. They are readable via stats() and dumpable
-// through dump_stats() — which the open-loop bench installs as the
-// watchdog's diagnostics callback, so a livelocked service run dies with a
-// per-shard picture of where tasks piled up.
+// Counters: per-shard (enqueued, dequeued, flushes, refills, steals, breaker
+// trips, batch fill) and service-wide (submitted, rejected, tier rejections,
+// delivered, re-routes, shed). Both live in per-thread-id slots summed by
+// stats(): the service-wide ones in one cache line per thread id, the shard
+// tallies in one line per (thread id, shard). So submits, flushes, refills
+// and hand-offs on different threads never write a shared counter line. The
+// only shard fields a batch writes are its load and minimum hints, once per
+// flush or refill, not per task; a bounded window's in-flight count and the
+// closed flag share a line of their own. The counters are readable via
+// stats() and dumpable through dump_stats() — which the open-loop bench
+// installs as the watchdog's diagnostics callback, so a livelocked service
+// run dies with a per-shard picture of where tasks piled up.
 //
 // Fault-injection seams: CPQ_INJECT("service/submit") and
 // CPQ_INJECT("service/delete_min") sit at the public entry points, before
@@ -142,7 +148,11 @@ struct ServiceConfig {
   // pause of 8 * batch_gap_ns alone lifts the mean over the bound. 0
   // publishes every task; UINT64_MAX batches by insert_batch count only.
   std::uint64_t batch_gap_ns = 2000;
-  // Admission bound on accepted-but-undelivered tasks; 0 = unbounded.
+  // Admission bound on accepted-but-undelivered tasks; 0 = unbounded. A
+  // consumer handle returns the slots of the tasks it delivered (or shed)
+  // all at once when its deletion buffer drains or it submits, so until
+  // then the window may also count up to delete_batch - 1 delivered tasks
+  // per consumer handle, plus the expired tasks its current refill shed.
   std::size_t max_in_flight = 0;
   AdmissionPolicy policy = AdmissionPolicy::kBlock;
   std::uint64_t seed = 1;
@@ -234,7 +244,8 @@ class PriorityService {
                   ShardFactory&& make_shard)
       : config_(sanitize(config, max_threads)),
         shards_(config_.shards),
-        counters_(max_threads == 0 ? 1 : max_threads) {
+        counters_(max_threads == 0 ? 1 : max_threads),
+        tallies_(counters_.size() * shards_.size()) {
     for (unsigned s = 0; s < config_.shards; ++s) {
       shards_[s].value.queue = make_shard(s);
       shards_[s].value.breaker.configure(config_.breaker_trip_us,
@@ -270,15 +281,46 @@ class PriorityService {
     std::atomic<std::uint64_t> rejected{0};
     std::atomic<std::uint64_t> tier_rejected{0};
     std::atomic<std::uint64_t> delivered{0};
+    std::atomic<std::uint64_t> drained{0};  // popped by drain(), not delivered
     std::atomic<std::uint64_t> shed_deadline{0};
     std::atomic<std::uint64_t> reroutes{0};
+  };
+  // One shard's batch tallies, kept per thread id the same way, so a flush
+  // or refill writes its own thread's line instead of the shared Shard's.
+  struct Tally {
+    std::atomic<std::uint64_t> enqueued{0};  // also the flushes' total fill
+    std::atomic<std::uint64_t> dequeued{0};
+    std::atomic<std::uint64_t> flushes{0};
+    std::atomic<std::uint64_t> refills{0};
+    std::atomic<std::uint64_t> steals{0};
+    std::atomic<std::uint64_t> refill_fill{0};
   };
   using Pool = DeadlinePool<value_type>;
 
  public:
   class Handle {
    public:
-    Handle(Handle&&) = default;
+    // A move hands every buffer over and returns the source's held
+    // in-flight slots (see release_held) at once. The source is left inert,
+    // service_ null, so its destructor neither flushes nor releases again.
+    Handle(Handle&& other) noexcept
+        : service_(std::exchange(other.service_, nullptr)),
+          counters_(other.counters_),
+          tallies_(other.tallies_),
+          inner_(std::move(other.inner_)),
+          ibuf_(std::move(other.ibuf_)),
+          last_submit_ns_(other.last_submit_ns_),
+          mean_gap_ns_(other.mean_gap_ns_),
+          dbuf_(std::move(other.dbuf_)),
+          pbuf_(std::move(other.pbuf_)),
+          dpos_(std::exchange(other.dpos_, 0)),
+          shed_in_refill_(other.shed_in_refill_),
+          shed_in_pop_(other.shed_in_pop_),
+          held_(std::exchange(other.held_, 0)),
+          rng_(other.rng_),
+          cache_(std::move(other.cache_)) {
+      release_held();
+    }
     Handle& operator=(Handle&&) = delete;
 
     // Queue-concept insert: never drops an accepted task. Blocks for a slot
@@ -307,7 +349,9 @@ class PriorityService {
    private:
     // Shared pop path. The shutdown drain() sets count_delivery=false:
     // recovered tasks are reported as `drained`, never as `delivered`, so
-    // the two stats can be added without double counting.
+    // the two stats can be added without double counting. Every task the
+    // buffer hands off or sheds is held (release_held) until the buffer
+    // drains, so the call that empties it returns them all in one step.
     //
     // A false return usually means every shard reported empty just now —
     // but under a full-expiry storm (every queued task dead on arrival,
@@ -337,6 +381,7 @@ class PriorityService {
             if (shed_in_refill_ != 0 && ++shed_rounds < kMaxShedRounds) {
               continue;
             }
+            release_held();
             return false;
           }
         }
@@ -345,22 +390,22 @@ class PriorityService {
         // Deadline re-check at hand-off: the task may have expired while
         // parked in the deletion buffer.
         if (task.deadline_us != 0 && steady_now_us() > task.deadline_us) {
-          service_->shed_task(*counters_, task.key, task.value);
-          ++shed_in_pop_;
+          shed(task);
           // A deletion buffer consumed entirely by hand-off sheds counts
           // toward the round cap as well — otherwise a dead-on-arrival feed
           // could trap the caller in here indefinitely.
           if (dpos_ == dbuf_.size() && ++shed_rounds >= kMaxShedRounds) {
+            release_held();
             return false;
           }
           continue;
         }
         key_out = task.key;
         value_out = task.value;
-        if (count_delivery) {
-          counters_->delivered.fetch_add(1, std::memory_order_relaxed);
-        }
-        service_->release_slot();
+        (count_delivery ? counters_->delivered : counters_->drained)
+            .fetch_add(1, std::memory_order_relaxed);
+        ++held_;
+        if (dpos_ == dbuf_.size()) release_held();
         return true;
       }
     }
@@ -399,8 +444,9 @@ class PriorityService {
       shard.note_pushed(ibuf_);
       service_->note_batch(shard, t0);
       CPQ_COUNT(kServiceFlush);
-      shard.flushes.fetch_add(1, std::memory_order_relaxed);
-      shard.flush_fill.fetch_add(ibuf_.size(), std::memory_order_relaxed);
+      Tally& tally = tallies_[a].value;
+      tally.enqueued.fetch_add(ibuf_.size(), std::memory_order_relaxed);
+      tally.flushes.fetch_add(1, std::memory_order_relaxed);
       // Cleared only once the shard took the batch: a throw above leaves
       // every task buffered for the next flush.
       ibuf_.clear();
@@ -418,9 +464,10 @@ class PriorityService {
 
     ~Handle() {
       if (service_ == nullptr) return;  // moved from
+      release_held();
       // Prefetched-but-unconsumed tasks ride the final flush back into a
       // shard so they stay deliverable (their in-flight slots are still
-      // held, correctly).
+      // taken, correctly).
       for (; dpos_ < dbuf_.size(); ++dpos_) {
         const Task& task = dbuf_[dpos_];
         ibuf_.emplace_back(task.key, service_->encode(cache_, task.value,
@@ -446,6 +493,8 @@ class PriorityService {
         : service_(&service),
           counters_(
               &service.counters_[thread_id % service.counters_.size()].value),
+          tallies_(&service.tallies_[(thread_id % service.counters_.size()) *
+                                     service.shards_.size()]),
           rng_(thread_seed(service.config_.seed ^ 0x5e11ce, thread_id)) {
       inner_.reserve(service.shards_.size());
       for (auto& shard : service.shards_) {
@@ -460,6 +509,9 @@ class PriorityService {
 
     bool submit(key_type key, value_type value, bool block) {
       CPQ_INJECT("service/submit");
+      // A handle must never wait for admission on slots it holds itself:
+      // the hold model pops a task and submits its successor.
+      release_held();
       unsigned tier = 0;
       if (!block && config().policy == AdmissionPolicy::kTiered &&
           config().max_in_flight > 0) {
@@ -550,7 +602,13 @@ class PriorityService {
 
     bool refill_from(std::size_t s, bool steal) {
       auto& shard = service_->shards_[s].value;
-      const std::uint64_t t0 = steady_now_us();  // include the chaos pause
+      // t0 times the batch for the breaker (chaos pause included) and is
+      // the shedding cut-off; tasks carry deadlines only with a deadline
+      // pool, so without a breaker or a pool the clock is not read.
+      const std::uint64_t t0 =
+          service_->breaker_active_ || service_->pool_ != nullptr
+              ? steady_now_us()
+              : 0;
       shard.chaos_pause();
       const std::size_t batch = config().delete_batch;
       std::size_t popped = 0;
@@ -597,16 +655,18 @@ class PriorityService {
         return false;
       }
       shard.note_popped(popped, last_key, ran_dry);
+      Tally& tally = tallies_[s].value;
+      tally.dequeued.fetch_add(popped, std::memory_order_relaxed);
       const std::size_t kept = dbuf_.size();
       if (kept == 0) return false;
       if (steal) {
         CPQ_COUNT(kServiceSteal);
-        shard.steals.fetch_add(1, std::memory_order_relaxed);
+        tally.steals.fetch_add(1, std::memory_order_relaxed);
       } else {
         CPQ_COUNT(kServiceRefill);
       }
-      shard.refills.fetch_add(1, std::memory_order_relaxed);
-      shard.refill_fill.fetch_add(kept, std::memory_order_relaxed);
+      tally.refills.fetch_add(1, std::memory_order_relaxed);
+      tally.refill_fill.fetch_add(kept, std::memory_order_relaxed);
       return true;
     }
 
@@ -615,12 +675,31 @@ class PriorityService {
     void keep_or_shed(const Item& item, std::uint64_t now_us) {
       const Task task = service_->decode(cache_, item.first, item.second);
       if (task.deadline_us != 0 && now_us > task.deadline_us) {
-        service_->shed_task(*counters_, task.key, task.value);
+        shed(task);
         ++shed_in_refill_;
-        ++shed_in_pop_;
         return;
       }
       dbuf_.push_back(task);
+    }
+
+    // Count one expired task, report it to the shed sink, and hold its
+    // in-flight slot with the buffer's deliveries.
+    void shed(const Task& task) {
+      service_->shed_task(*counters_, task.key, task.value);
+      ++shed_in_pop_;
+      ++held_;
+    }
+
+    // Return the in-flight slots of the tasks delivered or shed since the
+    // last release with one fetch_sub. Called when the deletion buffer
+    // drains, before a submission, on a move and at teardown. An unbounded
+    // service keeps no shared count to return them to.
+    void release_held() noexcept {
+      if (held_ == 0) return;
+      if (config().max_in_flight > 0) {
+        service_->in_flight_.fetch_sub(held_, std::memory_order_release);
+      }
+      held_ = 0;
     }
 
     // Bound on consecutive all-expired refill rounds inside one pop_task
@@ -630,6 +709,7 @@ class PriorityService {
 
     PriorityService* service_;
     Counters* counters_;              // this thread id's slot
+    CacheAligned<Tally>* tallies_;    // this thread id's row, one per shard
     std::vector<InnerHandle> inner_;  // one per shard
     std::vector<Item> ibuf_;          // encoded, as the shard receives them
     std::uint64_t last_submit_ns_ = 0;  // monotonic_ns() of the last submit
@@ -639,6 +719,7 @@ class PriorityService {
     std::size_t dpos_ = 0;
     std::size_t shed_in_refill_ = 0;
     std::size_t shed_in_pop_ = 0;
+    std::size_t held_ = 0;  // delivered or shed, in-flight slot not returned
     Xoroshiro128 rng_;
     typename Pool::Cache cache_;  // free deadline slots this handle owns
   };
@@ -703,8 +784,24 @@ class PriorityService {
                               : 0;
   }
 
+  // Accepted tasks not yet delivered, shed or drained. A bounded window
+  // reads its admission counter, which also counts what each consumer
+  // handle delivered or shed from a deletion buffer it has not finished;
+  // an unbounded service has no shared counter, so the figure is summed
+  // from the per-thread slots (racy while threads run). Exact at
+  // quiescence, and whenever no handle holds a partly consumed buffer.
   std::size_t in_flight() const noexcept {
-    return in_flight_.load(std::memory_order_relaxed);
+    if (config_.max_in_flight > 0) {
+      return in_flight_.load(std::memory_order_relaxed);
+    }
+    // Settled before accepted: both only grow, so the later read of the
+    // accepted count keeps the difference from going negative in practice.
+    const std::uint64_t settled = sum(&Counters::delivered) +
+                                  sum(&Counters::drained) +
+                                  sum(&Counters::shed_deadline);
+    const std::uint64_t accepted = sum(&Counters::submitted);
+    return accepted > settled ? static_cast<std::size_t>(accepted - settled)
+                              : 0;
   }
 
   unsigned shard_count() const noexcept {
@@ -724,14 +821,14 @@ class PriorityService {
     out.pool_exhausted = pool_ != nullptr ? pool_->exhausted() : 0;
     std::uint64_t flush_fill = 0;
     std::uint64_t refill_fill = 0;
-    for (const auto& aligned : shards_) {
-      const Shard& shard = aligned.value;
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const Shard& shard = shards_[i].value;
       ShardStats s;
-      s.enqueued = shard.enqueued.load(std::memory_order_relaxed);
-      s.dequeued = shard.dequeued.load(std::memory_order_relaxed);
-      s.flushes = shard.flushes.load(std::memory_order_relaxed);
-      s.refills = shard.refills.load(std::memory_order_relaxed);
-      s.steals = shard.steals.load(std::memory_order_relaxed);
+      s.enqueued = tally_sum(i, &Tally::enqueued);
+      s.dequeued = tally_sum(i, &Tally::dequeued);
+      s.flushes = tally_sum(i, &Tally::flushes);
+      s.refills = tally_sum(i, &Tally::refills);
+      s.steals = tally_sum(i, &Tally::steals);
       s.breaker_trips = shard.breaker.trips();
       s.breaker_open = shard.breaker.state() != CircuitBreaker::State::kClosed;
       s.approx_size = shard.size.load(std::memory_order_relaxed);
@@ -739,8 +836,8 @@ class PriorityService {
       out.refills += s.refills;
       out.steals += s.steals;
       out.breaker_trips += s.breaker_trips;
-      flush_fill += shard.flush_fill.load(std::memory_order_relaxed);
-      refill_fill += shard.refill_fill.load(std::memory_order_relaxed);
+      flush_fill += s.enqueued;
+      refill_fill += tally_sum(i, &Tally::refill_fill);
       out.shards.push_back(s);
     }
     if (out.flushes > 0) {
@@ -767,8 +864,7 @@ class PriorityService {
     g.set("rejected", static_cast<double>(sum(&Counters::rejected) +
                                           sum(&Counters::tier_rejected)));
     g.set("shed", static_cast<double>(sum(&Counters::shed_deadline)));
-    g.set("in_flight",
-          static_cast<double>(in_flight_.load(std::memory_order_relaxed)));
+    g.set("in_flight", static_cast<double>(in_flight()));
     g.set("reroutes", static_cast<double>(sum(&Counters::reroutes)));
     std::uint64_t flushes = 0;
     std::uint64_t refills = 0;
@@ -776,11 +872,11 @@ class PriorityService {
     std::uint64_t trips = 0;
     std::size_t breakers_open = 0;
     std::size_t size_max = 0;
-    for (const auto& aligned : shards_) {
-      const Shard& shard = aligned.value;
-      flushes += shard.flushes.load(std::memory_order_relaxed);
-      refills += shard.refills.load(std::memory_order_relaxed);
-      steals += shard.steals.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      const Shard& shard = shards_[i].value;
+      flushes += tally_sum(i, &Tally::flushes);
+      refills += tally_sum(i, &Tally::refills);
+      steals += tally_sum(i, &Tally::steals);
       trips += shard.breaker.trips();
       if (shard.breaker.state() != CircuitBreaker::State::kClosed) {
         ++breakers_open;
@@ -851,21 +947,13 @@ class PriorityService {
     std::atomic<std::uint32_t> chaos_stall_us{0};
     std::atomic<key_type> min_hint{kNoHint};
     std::atomic<std::size_t> size{0};
-    std::atomic<std::uint64_t> enqueued{0};
-    std::atomic<std::uint64_t> dequeued{0};
-    std::atomic<std::uint64_t> flushes{0};
-    std::atomic<std::uint64_t> refills{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> flush_fill{0};
-    std::atomic<std::uint64_t> refill_fill{0};
 
-    // Load, count and minimum-hint bookkeeping for one non-empty flushed
-    // batch: two fetch_adds and one CAS-min loop on the batch minimum.
+    // Load and minimum-hint bookkeeping for one non-empty flushed batch:
+    // one fetch_add and one CAS-min loop on the batch minimum.
     void note_pushed(const std::vector<Item>& batch) noexcept {
       key_type lo = batch.front().first;
       for (const Item& item : batch) lo = std::min(lo, item.first);
       size.fetch_add(batch.size(), std::memory_order_relaxed);
-      enqueued.fetch_add(batch.size(), std::memory_order_relaxed);
       // Monotone CAS-min keeps the hint a lower-ish bound on the content.
       key_type seen = min_hint.load(std::memory_order_relaxed);
       while (lo < seen && !min_hint.compare_exchange_weak(
@@ -876,7 +964,6 @@ class PriorityService {
 
     void note_popped(std::size_t count, key_type last_key,
                      bool now_empty) noexcept {
-      dequeued.fetch_add(count, std::memory_order_relaxed);
       std::size_t seen = size.load(std::memory_order_relaxed);
       while (!size.compare_exchange_weak(
           seen, seen >= count ? seen - count : 0, std::memory_order_relaxed,
@@ -943,13 +1030,12 @@ class PriorityService {
     return Task{key, value, 0};
   }
 
-  // Account one shed task: counted, reported to the sink, and its in-flight
-  // slot released (it will never reach delete_min's hand-off).
+  // Account one shed task: counted and reported to the sink. Its in-flight
+  // slot is returned by the shedding handle (Handle::shed).
   void shed_task(Counters& counters, key_type key, value_type value) {
     CPQ_COUNT(kServiceShed);
     counters.shed_deadline.fetch_add(1, std::memory_order_relaxed);
     if (shed_sink_) shed_sink_(key, value);
-    release_slot();
   }
 
   static void count_reroute(Counters& counters) noexcept {
@@ -957,10 +1043,21 @@ class PriorityService {
     counters.reroutes.fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::uint64_t sum(std::atomic<std::uint64_t> Counters::*field) const {
+  std::uint64_t sum(
+      std::atomic<std::uint64_t> Counters::*field) const noexcept {
     std::uint64_t total = 0;
     for (const auto& slot : counters_) {
       total += (slot.value.*field).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  // One shard's tally summed over the thread-id rows.
+  std::uint64_t tally_sum(std::size_t shard,
+                          std::atomic<std::uint64_t> Tally::*field) const {
+    std::uint64_t total = 0;
+    for (std::size_t i = shard; i < tallies_.size(); i += shards_.size()) {
+      total += (tallies_[i].value.*field).load(std::memory_order_relaxed);
     }
     return total;
   }
@@ -1001,10 +1098,7 @@ class PriorityService {
   bool acquire_slot(bool block, unsigned tier, bool& tier_limited) {
     tier_limited = false;
     if (closed()) return false;
-    if (config_.max_in_flight == 0) {
-      in_flight_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
+    if (config_.max_in_flight == 0) return true;  // no shared count to take
     const unsigned tiers =
         config_.policy == AdmissionPolicy::kTiered ? tier_map_.tiers() : 1;
     Backoff backoff;
@@ -1028,19 +1122,18 @@ class PriorityService {
     }
   }
 
-  void release_slot() noexcept {
-    in_flight_.fetch_sub(1, std::memory_order_release);
-  }
-
   ServiceConfig config_;
   std::vector<CacheAligned<Shard>> shards_;
   std::vector<CacheAligned<Counters>> counters_;  // one per thread id
+  // [thread id slot * shards + shard]: a row per counters_ slot.
+  std::vector<CacheAligned<Tally>> tallies_;
   std::unique_ptr<Pool> pool_;
   TierMap tier_map_;
   ShedSink shed_sink_;
   const bool breaker_active_ = config_.breaker_trip_us > 0;
-  // Written by every admission and release: a line of their own, away from
-  // the read-mostly members above.
+  // Bounded windows only: written by every admission and by a consumer
+  // handle once per drained deletion buffer, so it sits on a line of its
+  // own, away from the read-mostly members above.
   alignas(kCacheLineSize) std::atomic<std::size_t> in_flight_{0};
   std::atomic<bool> closed_{false};
 

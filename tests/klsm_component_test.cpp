@@ -294,9 +294,9 @@ TEST(BlockClaimWords, DrainRacingBitClaimsDeliversExactlyOnce) {
 
 // ---- merge kernels (merge_kernel.hpp) ------------------------------------
 //
-// The branch-free and SIMD kernels must be byte-for-byte substitutes for
-// the scalar oracle: same output, same stable tie-break (ties take from the
-// first run). claim_merge edge cases ride along since it now feeds the
+// The branch-free kernel must be a byte-for-byte substitute for the scalar
+// oracle: same output, same stable tie-break (ties take from the first
+// run). claim_merge edge cases ride along since it now feeds the
 // kernels via drain-then-merge.
 
 using Item = std::pair<K, V>;
@@ -325,15 +325,6 @@ TEST(MergeKernel, EmptyInputs) {
   EXPECT_TRUE(run_kernel_branchfree(empty, empty).empty());
   EXPECT_EQ(run_kernel_branchfree(some, empty), some);
   EXPECT_EQ(run_kernel_branchfree(empty, some), some);
-#if CPQ_MERGE_HAVE_SSE42_TARGET
-  if (merge_simd_available()) {
-    std::vector<Item> out(some.size());
-    ASSERT_EQ(merge_sorted_simd(some.data(), some.size(), empty.data(), 0,
-                                out.data()),
-              some.size());
-    EXPECT_EQ(out, some);
-  }
-#endif
 }
 
 TEST(MergeKernel, StableOnDuplicateKeys) {
@@ -345,19 +336,11 @@ TEST(MergeKernel, StableOnDuplicateKeys) {
                                    {6, 101}, {7, 3}, {7, 102}};
   EXPECT_EQ(run_kernel_scalar(a, b), expected);
   EXPECT_EQ(run_kernel_branchfree(a, b), expected);
-#if CPQ_MERGE_HAVE_SSE42_TARGET
-  if (merge_simd_available()) {
-    std::vector<Item> out(a.size() + b.size());
-    ASSERT_EQ(
-        merge_sorted_simd(a.data(), a.size(), b.data(), b.size(), out.data()),
-        expected.size());
-    EXPECT_EQ(out, expected);
-  }
-#endif
 }
 
-// Randomized equivalence: every fast kernel must reproduce the scalar
-// oracle exactly, including heavily duplicated keys and skewed run lengths.
+// Randomized equivalence: the branch-free kernel and the dispatcher must
+// reproduce the scalar oracle exactly, including heavily duplicated keys
+// and skewed run lengths.
 TEST(MergeKernel, FastKernelsMatchScalarOracleFuzz) {
   Xoroshiro128 rng(0xF00D);
   for (int round = 0; round < 200; ++round) {
@@ -383,14 +366,6 @@ TEST(MergeKernel, FastKernelsMatchScalarOracleFuzz) {
       return out;
     }();
     EXPECT_EQ(dispatched, oracle);
-#if CPQ_MERGE_HAVE_SSE42_TARGET
-    if (merge_simd_available()) {
-      std::vector<Item> out(na + nb);
-      ASSERT_EQ(merge_sorted_simd(a.data(), na, b.data(), nb, out.data()),
-                na + nb);
-      EXPECT_EQ(out, oracle);
-    }
-#endif
   }
 }
 

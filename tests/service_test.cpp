@@ -240,12 +240,16 @@ TEST(PriorityService, RefillLeavesRestOfHeapVisible) {
   EXPECT_EQ(popped, 8u);
 }
 
-// Service-wide counters live in per-thread-id slots. Four threads on two
-// thread ids (two handles per slot) mix try_submit and delete_min; once
-// every handle is gone and the rest is drained, the summed slots must
-// account for every call exactly. Under kReject every refusal is a plain
-// one; under kTiered with only lower-tier keys the window never fills, so
-// every refusal comes from the tier gate.
+// Service-wide counters and per-shard tallies live in per-thread-id slots.
+// Four threads on two thread ids (two handles per slot) mix try_submit and
+// delete_min; once every handle is gone and the rest is drained, the summed
+// slots must account for every call exactly. Each thread tells its own
+// flushes and refills from its handle's buffer levels: an accepted submit
+// that leaves the insertion buffer empty flushed, a hit from an empty
+// deletion buffer refilled once, a miss that empties the insertion buffer
+// flushed, and teardown flushes once if either buffer holds a task. Under
+// kReject every refusal is a plain one; under kTiered with only lower-tier
+// keys the window never fills, so every refusal comes from the tier gate.
 TEST(PriorityService, PerThreadCountersSumExactly) {
   for_each_shard_type([](auto shard_type) {
     using Q = typename decltype(shard_type)::type;
@@ -263,30 +267,64 @@ TEST(PriorityService, PerThreadCountersSumExactly) {
       std::atomic<std::uint64_t> accepted{0};
       std::atomic<std::uint64_t> refused{0};
       std::atomic<std::uint64_t> delivered{0};
+      std::atomic<std::uint64_t> flushes{0};
+      std::atomic<std::uint64_t> refills{0};
+      std::atomic<std::uint64_t> spilled{0};
       run_team(kThreads, [&](unsigned tid) {
         auto handle = service->get_handle(tid % 2);
         Xoroshiro128 rng(thread_seed(0xc0de, tid));
         std::uint64_t ok = 0;
         std::uint64_t no = 0;
         std::uint64_t got = 0;
+        std::uint64_t flushed = 0;
+        std::uint64_t refilled = 0;
         for (std::uint64_t i = 0; i < 20000; ++i) {
+          const bool had_inserts = handle.buffered_inserts() > 0;
           if (rng.next_below(100) < 70) {
             const K k = 1000 + rng.next_below(1000);
             if (handle.try_submit(k, (std::uint64_t{tid} << 32) | i)) {
               ++ok;
+              flushed += handle.buffered_inserts() == 0;
             } else {
               ++no;
             }
           } else {
+            const bool had_deletes = handle.buffered_deletes() > 0;
             K k;
             V v;
-            if (handle.delete_min(k, v)) ++got;
+            if (handle.delete_min(k, v)) {
+              ++got;
+              refilled += !had_deletes;
+            }
+            flushed += had_inserts && handle.buffered_inserts() == 0;
           }
         }
+        const std::size_t left = handle.buffered_deletes();
+        flushed += handle.buffered_inserts() + left > 0;
         accepted.fetch_add(ok);
         refused.fetch_add(no);
         delivered.fetch_add(got);
+        flushes.fetch_add(flushed);
+        refills.fetch_add(refilled);
+        spilled.fetch_add(left);
       });
+      const ServiceStats before = service->stats();
+      std::uint64_t shard_enqueued = 0;
+      std::uint64_t shard_dequeued = 0;
+      std::uint64_t shard_flushes = 0;
+      std::uint64_t shard_refills = 0;
+      for (const ShardStats& shard : before.shards) {
+        shard_enqueued += shard.enqueued;
+        shard_dequeued += shard.dequeued;
+        shard_flushes += shard.flushes;
+        shard_refills += shard.refills;
+      }
+      // Teardown spills pass through a shard twice: popped, then flushed.
+      EXPECT_EQ(shard_enqueued, accepted.load() + spilled.load());
+      EXPECT_EQ(shard_dequeued, delivered.load() + spilled.load());
+      EXPECT_EQ(shard_flushes, flushes.load());
+      EXPECT_EQ(shard_refills, refills.load());
+
       const std::size_t drained = service->drain([](K, V) {});
       const ServiceStats stats = service->stats();
       EXPECT_GT(refused.load(), 0u);
@@ -297,8 +335,178 @@ TEST(PriorityService, PerThreadCountersSumExactly) {
       EXPECT_EQ(stats.tier_rejected,
                 policy == AdmissionPolicy::kTiered ? refused.load() : 0u);
       EXPECT_EQ(service->in_flight(), 0u);
+      // Drained empty, every shard has given back exactly what it took.
+      for (const ShardStats& shard : stats.shards) {
+        EXPECT_EQ(shard.enqueued, shard.dequeued);
+      }
     }
   });
+}
+
+// The hold model on one handle: pop a task, then submit its successor into
+// a full kBlock window. The delivered task's slot must be returned before
+// the submission waits for one; a handle that returned slots only when its
+// deletion buffer drains would wait on itself forever. A stuck insert is
+// freed by close(), so a regression fails here instead of hanging.
+TEST(PriorityService, HoldModelSubmitNeverWaitsOnItsOwnDeliveries) {
+  for_each_shard_type([](auto shard) {
+    using Q = typename decltype(shard)::type;
+    ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.insert_batch = 4;  // one flush, so one mq-eng heap holds all four
+    cfg.delete_batch = 4;
+    cfg.batch_gap_ns = kCountOnly;
+    cfg.max_in_flight = 4;
+    cfg.policy = AdmissionPolicy::kBlock;
+    auto service = make_service<Q>(1, cfg);
+    auto handle = service->get_handle(0);
+    for (K k = 1; k <= 4; ++k) ASSERT_TRUE(handle.insert(k, k));
+    K key;
+    V value;
+    ASSERT_TRUE(handle.delete_min(key, value));
+    EXPECT_EQ(key, 1u);
+    ASSERT_EQ(handle.buffered_deletes(), 3u);
+
+    std::atomic<bool> returned{false};
+    bool accepted = false;
+    std::thread submitter([&] {
+      accepted = handle.insert(5, 5);
+      returned.store(true);
+    });
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!returned.load() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const bool in_time = returned.load();
+    if (!in_time) service->close();
+    submitter.join();
+    EXPECT_TRUE(in_time) << "insert waited on the handle's own delivery";
+    EXPECT_TRUE(accepted);
+    EXPECT_EQ(service->in_flight(), 4u);
+  });
+}
+
+// Without a bound the service keeps no shared in-flight counter:
+// in_flight() is accepted minus delivered, shed and drained tasks, summed
+// from the per-thread slots.
+TEST(PriorityService, UnboundedInFlightIsSummedFromThreadCounters) {
+  for_each_shard_type([](auto shard) {
+    using Q = typename decltype(shard)::type;
+    ServiceConfig cfg;
+    cfg.shards = 2;
+    cfg.insert_batch = 1;
+    cfg.delete_batch = 1;
+    auto service = make_service<Q>(2, cfg);
+    {
+      auto producer = service->get_handle(0);
+      auto consumer = service->get_handle(1);
+      for (K k = 1; k <= 5; ++k) ASSERT_TRUE(producer.insert(k, k));
+      EXPECT_EQ(service->in_flight(), 5u);
+      K key;
+      V value;
+      ASSERT_TRUE(consumer.delete_min(key, value));
+      ASSERT_TRUE(consumer.delete_min(key, value));
+      EXPECT_EQ(service->in_flight(), 3u);
+    }
+    EXPECT_EQ(service->in_flight(), 3u);
+    EXPECT_EQ(service->drain([](K, V) {}), 3u);
+    EXPECT_EQ(service->in_flight(), 0u);
+  });
+}
+
+// A bounded window returns a consumer's slots per drained deletion buffer,
+// so in_flight() may lead by what a handle delivered from a buffer it has
+// not finished (at most delete_batch - 1), and is exact once the buffer
+// drains, once the handle submits, and once it is destroyed.
+TEST(PriorityService, BoundedInFlightIsExactOutsidePartlyConsumedBuffers) {
+  ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.insert_batch = 1;
+  cfg.delete_batch = 4;
+  cfg.max_in_flight = 64;
+  auto service = make_service<Lock>(2, cfg);
+  auto producer = service->get_handle(0);
+  K key;
+  V value;
+  for (K k = 1; k <= 10; ++k) ASSERT_TRUE(producer.insert(k, k));
+  EXPECT_EQ(service->in_flight(), 10u);
+  {
+    auto consumer = service->get_handle(1);
+    ASSERT_TRUE(consumer.delete_min(key, value));
+    ASSERT_EQ(consumer.buffered_deletes(), 3u);
+    EXPECT_GE(service->in_flight(), 9u);
+    EXPECT_LE(service->in_flight(), 9u + 3u);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(consumer.delete_min(key, value));
+    ASSERT_EQ(consumer.buffered_deletes(), 0u);
+    EXPECT_EQ(service->in_flight(), 6u);  // the buffer drained
+
+    ASSERT_TRUE(consumer.delete_min(key, value));
+    ASSERT_EQ(consumer.buffered_deletes(), 3u);
+    ASSERT_TRUE(consumer.insert(11, 11));
+    EXPECT_EQ(service->in_flight(), 6u);  // its submit returned the slot
+    ASSERT_TRUE(consumer.delete_min(key, value));
+    ASSERT_EQ(consumer.buffered_deletes(), 2u);
+  }  // teardown returns the delivery and spills the other two back
+  EXPECT_EQ(service->in_flight(), 5u);
+  EXPECT_EQ(service->drain([](K, V) {}), 5u);
+  EXPECT_EQ(service->in_flight(), 0u);
+}
+
+// Expired tasks leave the window like delivered ones, bounded or not.
+TEST(PriorityService, ShedTasksLeaveTheInFlightCount) {
+  for (const std::size_t bound : {std::size_t{0}, std::size_t{64}}) {
+    SCOPED_TRACE(bound == 0 ? "unbounded" : "bounded");
+    ServiceConfig cfg;
+    cfg.shards = 1;
+    cfg.insert_batch = 1;
+    cfg.delete_batch = 4;
+    cfg.max_in_flight = bound;
+    cfg.ttl_us = 1000;
+    auto service = make_service<Lock>(1, cfg);
+    auto handle = service->get_handle(0);
+    for (K k = 1; k <= 6; ++k) ASSERT_TRUE(handle.insert(k, k));
+    EXPECT_EQ(service->in_flight(), 6u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    K key;
+    V value;
+    EXPECT_FALSE(handle.delete_min(key, value));
+    EXPECT_EQ(handle.last_pop_shed(), 6u);
+    EXPECT_EQ(service->stats().shed_deadline, 6u);
+    EXPECT_EQ(service->in_flight(), 0u);
+  }
+}
+
+// A move returns the source's held slots once and leaves the source inert:
+// were its destructor to return them again, the window's count would wrap
+// below zero.
+TEST(PriorityService, MovedHandleReturnsHeldSlotsOnce) {
+  ServiceConfig cfg;
+  cfg.shards = 1;
+  cfg.insert_batch = 1;
+  cfg.delete_batch = 4;
+  cfg.max_in_flight = 16;
+  auto service = make_service<Lock>(1, cfg);
+  K key;
+  V value;
+  {
+    auto source = service->get_handle(0);
+    for (K k = 1; k <= 8; ++k) ASSERT_TRUE(source.insert(k, k));
+    ASSERT_TRUE(source.delete_min(key, value));
+    ASSERT_EQ(source.buffered_deletes(), 3u);
+    {
+      auto moved = std::move(source);
+      EXPECT_EQ(service->in_flight(), 7u);  // returned by the move
+      EXPECT_EQ(source.buffered_deletes(), 0u);
+      ASSERT_EQ(moved.buffered_deletes(), 3u);
+      ASSERT_TRUE(moved.delete_min(key, value));
+      EXPECT_EQ(key, 2u);
+    }
+    EXPECT_EQ(service->in_flight(), 6u);
+  }  // the moved-from source tears nothing down
+  EXPECT_EQ(service->in_flight(), 6u);
+  EXPECT_EQ(service->drain([](K, V) {}), 6u);
+  EXPECT_EQ(service->in_flight(), 0u);
 }
 
 TEST(PriorityService, RejectPolicyBoundsInFlightWork) {
