@@ -3,9 +3,10 @@
 // Isolates the building blocks that the full-system benchmarks compose:
 // sequential queues (the MultiQueue's and GlobalLock's engines), the LSM
 // block merge (the k-LSM's insert amortization), the order-statistic replay
-// engine (quality-benchmark cost), RNG and lock primitives, EBR overhead,
+// engine (quality-benchmark cost), the RNG, the spinlock, EBR overhead,
 // and single-threaded operation cost of every concurrent queue (the y-axis
-// intercepts of the paper's figures).
+// intercepts of the paper's figures). ctest's bench_components_smoke runs
+// every row once at a minimal time budget.
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "mm/epoch.hpp"
-#include "mm/hazard.hpp"
 #include "platform/rng.hpp"
 #include "platform/spinlock.hpp"
 #include "queues/flat_combining.hpp"
@@ -29,7 +29,6 @@
 #include "seq/binary_heap.hpp"
 #include "seq/order_statistic_tree.hpp"
 #include "seq/pairing_heap.hpp"
-#include "seq/seq_lsm.hpp"
 #include "workloads/keyspace.hpp"
 
 namespace {
@@ -63,7 +62,6 @@ void BM_LockUncontended(benchmark::State& state) {
     lock.unlock();
   }
 }
-BENCHMARK(BM_LockUncontended<cpq::TasSpinlock>);
 BENCHMARK(BM_LockUncontended<cpq::Spinlock>);
 
 void BM_EbrGuard(benchmark::State& state) {
@@ -73,20 +71,6 @@ void BM_EbrGuard(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EbrGuard);
-
-// The read-side cost EBR avoids: one seq_cst publish + revalidation per
-// protected pointer (see mm/hazard.hpp's tradeoff discussion).
-void BM_HazardAcquire(benchmark::State& state) {
-  static cpq::mm::HazardDomain<int> domain;
-  std::atomic<int*> published{new int(7)};
-  auto slot = domain.make_slot();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(slot.protect(published));
-    slot.clear();
-  }
-  delete published.load();
-}
-BENCHMARK(BM_HazardAcquire);
 
 void BM_KeyGenerator(benchmark::State& state) {
   using cpq::workloads::KeyConfig;
@@ -121,9 +105,6 @@ BENCHMARK(BM_SeqQueueSteadyState<cpq::seq::BinaryHeap<K, V>>)
     ->Arg(1000)
     ->Arg(100000);
 BENCHMARK(BM_SeqQueueSteadyState<cpq::seq::PairingHeap<K, V>>)
-    ->Arg(1000)
-    ->Arg(100000);
-BENCHMARK(BM_SeqQueueSteadyState<cpq::seq::SeqLsm<K, V>>)
     ->Arg(1000)
     ->Arg(100000);
 

@@ -63,12 +63,6 @@ class EbrDomain {
   // Guard (the node must already be unreachable for new readers).
   void retire(void* ptr, void (*deleter)(void*));
 
-  template <typename T>
-  void retire(T* ptr) {
-    retire(static_cast<void*>(ptr),
-           [](void* p) { delete static_cast<T*>(p); });
-  }
-
   // Attempt to advance the global epoch and free one limbo generation.
   // Called automatically every kRetireInterval retires; public for tests
   // and for draining at known-quiescent points.
@@ -133,11 +127,5 @@ class EbrDomain {
 
   friend struct EbrThreadSlot;
 };
-
-// Convenience: retire with the global domain.
-template <typename T>
-inline void retire_global(T* ptr) {
-  EbrDomain::global().retire(ptr);
-}
 
 }  // namespace cpq::mm

@@ -47,8 +47,6 @@ enum class Counter : unsigned {
   kEbrRetire,           // nodes deferred to epoch-based reclamation
   kEbrFree,             // deferred nodes actually reclaimed
   kEbrAdvance,          // global epoch advances
-  kHazardScan,          // hazard-pointer scans
-  kHazardRetire,        // nodes deferred to hazard-pointer reclamation
   kServiceFlush,        // insertion-buffer flushes (priority service)
   kServiceRefill,       // deletion-buffer refills from the routed shard
   kServiceSteal,        // refills served by stealing from another shard
@@ -65,12 +63,11 @@ inline constexpr unsigned kNumCounters =
 
 inline const char* counter_name(unsigned index) noexcept {
   static const char* const names[kNumCounters] = {
-      "cas_retry",      "lock_retry",    "backoff_pause",
-      "ebr_retire",     "ebr_free",      "ebr_advance",
-      "hazard_scan",    "hazard_retire", "service_flush",
-      "service_refill", "service_steal", "service_reject",
-      "service_shed",   "service_tier_reject", "service_breaker_trip",
-      "service_reroute",
+      "cas_retry",      "lock_retry",     "backoff_pause",
+      "ebr_retire",     "ebr_free",       "ebr_advance",
+      "service_flush",  "service_refill", "service_steal",
+      "service_reject", "service_shed",   "service_tier_reject",
+      "service_breaker_trip",             "service_reroute",
   };
   return index < kNumCounters ? names[index] : "?";
 }

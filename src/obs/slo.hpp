@@ -192,13 +192,6 @@ class SloTracker {
     return total;
   }
 
-  bool any_breached() const noexcept {
-    for (const ObjectiveState& st : states_) {
-      if (st.breached) return true;
-    }
-    return false;
-  }
-
   void dump(std::FILE* out) const {
     for (const ObjectiveState& st : states_) {
       std::fprintf(

@@ -527,11 +527,6 @@ class TelemetryPlane {
     if (slo_.configured()) slo_.dump(out);
   }
 
-  std::uint64_t start_t_ns() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return start_t_ns_;
-  }
-
  private:
   TelemetryPlane() = default;
 

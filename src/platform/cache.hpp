@@ -1,4 +1,4 @@
-// Cache-line geometry and padding helpers.
+// Cache-line geometry, alignment and prefetch helpers.
 //
 // Every mutable shared word in this library is placed on its own cache line:
 // false sharing between per-thread counters is the dominant scalability bug
@@ -36,14 +36,6 @@ struct alignas(kCacheLineSize) CacheAligned {
 
 static_assert(alignof(CacheAligned<int>) == kCacheLineSize);
 static_assert(sizeof(CacheAligned<int>) == kCacheLineSize);
-
-// Explicit trailing padding for structs that must not share their final
-// cache line with a neighbour. `Used` is the payload size.
-template <std::size_t Used>
-struct Pad {
-  static constexpr std::size_t kRemainder = Used % kCacheLineSize;
-  char pad[kRemainder == 0 ? kCacheLineSize : kCacheLineSize - kRemainder];
-};
 
 // Read-intent prefetch hint (high temporal locality). Pointer-chasing
 // traversals issue this for the next node while comparing the current one,

@@ -55,8 +55,6 @@ class TscClock {
   }
 
   double ns_per_tick() const noexcept { return ns_per_tick_; }
-  std::uint64_t base_tick() const noexcept { return base_tick_; }
-  std::uint64_t base_ns() const noexcept { return base_ns_; }
 
   // Map a fast_timestamp() tick into the monotonic_ns() timeline. Ticks
   // recorded before the calibration anchor map correctly too (signed

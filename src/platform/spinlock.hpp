@@ -1,11 +1,10 @@
 // Spinlocks used by the lock-based queues (GlobalLock, MultiQueue, Hunt heap)
 // and, uncounted, by pools that sit beside them.
 //
-// A test-and-test-and-set lock with exponential backoff is what the original
-// klsm benchmark used to protect std::priority_queue instances; we provide
-// TAS and TTAS variants so the difference is benchmarkable (bench_components).
-// Both satisfy the C++ Lockable requirements, so they work with
-// std::lock_guard / std::unique_lock.
+// Spinlock is a test-and-test-and-set lock with exponential backoff, the
+// lock the original klsm benchmark used to protect std::priority_queue
+// instances. Both locks satisfy the C++ BasicLockable requirements, so they
+// work with std::lock_guard / std::unique_lock.
 #pragma once
 
 #include <atomic>
@@ -17,24 +16,6 @@
 #include "validation/fault_injection.hpp"
 
 namespace cpq {
-
-// Plain test-and-set lock. Simple but generates a cache-line invalidation on
-// every failed attempt; kept as the baseline for the lock microbenchmark.
-class TasSpinlock {
- public:
-  void lock() noexcept {
-    while (flag_.exchange(true, std::memory_order_acquire)) cpu_relax();
-  }
-
-  bool try_lock() noexcept {
-    return !flag_.exchange(true, std::memory_order_acquire);
-  }
-
-  void unlock() noexcept { flag_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> flag_{false};
-};
 
 // Test-and-test-and-set with randomized exponential backoff: spins on a
 // local read until the lock looks free, then attempts the exchange. This is
@@ -105,41 +86,6 @@ class UncountedSpinlock {
 
  private:
   std::atomic<bool> flag_{false};
-};
-
-// A sequence lock for single-writer structures read by occasional foreign
-// threads (the DLSM spy path). The writer is wait-free: it bumps the counter
-// to odd before mutating and back to even after. Readers snapshot, copy, and
-// validate that the counter is even and unchanged.
-class SeqLock {
- public:
-  // Writer side. Calls must be balanced and single-threaded.
-  void write_begin() noexcept {
-    seq_.store(seq_.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-  }
-
-  void write_end() noexcept {
-    std::atomic_thread_fence(std::memory_order_release);
-    seq_.store(seq_.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
-  }
-
-  // Reader side: read_begin() returns a token; after copying the protected
-  // data, read_validate(token) says whether the copy is consistent.
-  std::uint64_t read_begin() const noexcept {
-    std::uint64_t s = seq_.load(std::memory_order_acquire);
-    return s;
-  }
-
-  bool read_validate(std::uint64_t token) const noexcept {
-    std::atomic_thread_fence(std::memory_order_acquire);
-    return (token & 1) == 0 && seq_.load(std::memory_order_acquire) == token;
-  }
-
- private:
-  std::atomic<std::uint64_t> seq_{0};
 };
 
 }  // namespace cpq

@@ -159,18 +159,15 @@ struct ServiceConfig {
 
   // ---- overload resilience ----
   // Time-to-live applied to every submission; 0 disables deadline shedding.
-  // Requires unsigned 64-bit values < 2^63.
+  // Requires unsigned 64-bit values < 2^63. Deadlines ride in a DeadlinePool
+  // of max_in_flight (or 64k) plus 2 * DeadlinePool::kBatch slots per
+  // thread, so slots parked in the handles' caches cannot exhaust a full
+  // admission window; a task that finds no free slot travels untagged.
   std::uint64_t ttl_us = 0;
-  // DeadlinePool capacity; 0 derives max_in_flight (or 64k) plus
-  // 2 * DeadlinePool::kBatch per thread, so slots parked in the handles'
-  // caches cannot exhaust a full admission window.
-  std::size_t deadline_slots = 0;
-  // Tier count for AdmissionPolicy::kTiered when tier_boundaries is empty:
-  // the key space [0, tier_key_space) is split uniformly. 0 means 4.
+  // Tier count for AdmissionPolicy::kTiered: the key space
+  // [0, tier_key_space) is split uniformly. 0 means 4.
   unsigned tiers = 0;
   std::uint64_t tier_key_space = std::uint64_t{1} << 32;
-  // Explicit ascending tier upper bounds (overrides uniform splitting).
-  std::vector<std::uint64_t> tier_boundaries;
   // Circuit breaker: trip after breaker_consecutive flush/refill batches of
   // >= breaker_trip_us against one shard; re-admit after breaker_cooldown_us
   // via a half-open probe. 0 disables the breaker.
@@ -188,7 +185,7 @@ struct ShardStats {
   std::uint64_t steals = 0;     // refills served when not the routed choice
   std::uint64_t breaker_trips = 0;  // circuit-breaker trips on this shard
   bool breaker_open = false;        // breaker currently not Closed (racy)
-  std::size_t approx_size = 0;  // load estimate (racy)
+  std::size_t approx_size = 0;  // load hint: racy, exact at quiescence
 };
 
 struct ServiceStats {
@@ -253,23 +250,16 @@ class PriorityService {
                                          config_.breaker_cooldown_us);
     }
     if constexpr (kDeadlineCapable) {
-      if (config_.ttl_us > 0 || config_.deadline_slots > 0) {
-        std::size_t slots = config_.deadline_slots;
-        if (slots == 0) {
-          slots = (config_.max_in_flight > 0 ? config_.max_in_flight
-                                             : std::size_t{1} << 16) +
-                  2 * Pool::kBatch * counters_.size();
-        }
-        pool_ = std::make_unique<Pool>(slots);
+      if (config_.ttl_us > 0) {
+        pool_ = std::make_unique<Pool>(
+            (config_.max_in_flight > 0 ? config_.max_in_flight
+                                       : std::size_t{1} << 16) +
+            2 * Pool::kBatch * counters_.size());
       }
     }
     if (config_.policy == AdmissionPolicy::kTiered) {
-      if (!config_.tier_boundaries.empty()) {
-        tier_map_.boundaries = config_.tier_boundaries;
-      } else {
-        tier_map_ = TierMap::uniform(config_.tiers == 0 ? 4 : config_.tiers,
-                                     config_.tier_key_space);
-      }
+      tier_map_ = TierMap::uniform(config_.tiers == 0 ? 4 : config_.tiers,
+                                   config_.tier_key_space);
     }
   }
 
@@ -778,11 +768,6 @@ class PriorityService {
                                             std::memory_order_relaxed);
     }
   }
-  std::uint32_t chaos_stalled_us(unsigned s) const noexcept {
-    return s < shards_.size() ? shards_[s].value.chaos_stall_us.load(
-                                    std::memory_order_relaxed)
-                              : 0;
-  }
 
   // Accepted tasks not yet delivered, shed or drained. A bounded window
   // reads its admission counter, which also counts what each consumer
@@ -831,7 +816,7 @@ class PriorityService {
       s.steals = tally_sum(i, &Tally::steals);
       s.breaker_trips = shard.breaker.trips();
       s.breaker_open = shard.breaker.state() != CircuitBreaker::State::kClosed;
-      s.approx_size = shard.size.load(std::memory_order_relaxed);
+      s.approx_size = shard.size_hint();
       out.flushes += s.flushes;
       out.refills += s.refills;
       out.steals += s.steals;
@@ -881,8 +866,7 @@ class PriorityService {
       if (shard.breaker.state() != CircuitBreaker::State::kClosed) {
         ++breakers_open;
       }
-      size_max = std::max(size_max,
-                          shard.size.load(std::memory_order_relaxed));
+      size_max = std::max(size_max, shard.size_hint());
     }
     g.set("flushes", static_cast<double>(flushes));
     g.set("refills", static_cast<double>(refills));
@@ -946,14 +930,27 @@ class PriorityService {
     CircuitBreaker breaker;
     std::atomic<std::uint32_t> chaos_stall_us{0};
     std::atomic<key_type> min_hint{kNoHint};
-    std::atomic<std::size_t> size{0};
+    // Tasks flushed in minus tasks popped out, one fetch_add per flush and
+    // one fetch_sub per refill. A flush counts its batch only after the
+    // shard took it, so a consumer that pops the batch first drives the
+    // count below zero for a moment; it is exact whenever no flush or
+    // refill is in progress.
+    std::atomic<std::int64_t> size{0};
+
+    // The count as stats() and fill_gauges() report it: a transient
+    // negative reads as 0. Flush routing compares the raw count.
+    std::size_t size_hint() const noexcept {
+      const std::int64_t n = size.load(std::memory_order_relaxed);
+      return n > 0 ? static_cast<std::size_t>(n) : 0;
+    }
 
     // Load and minimum-hint bookkeeping for one non-empty flushed batch:
     // one fetch_add and one CAS-min loop on the batch minimum.
     void note_pushed(const std::vector<Item>& batch) noexcept {
       key_type lo = batch.front().first;
       for (const Item& item : batch) lo = std::min(lo, item.first);
-      size.fetch_add(batch.size(), std::memory_order_relaxed);
+      size.fetch_add(static_cast<std::int64_t>(batch.size()),
+                     std::memory_order_relaxed);
       // Monotone CAS-min keeps the hint a lower-ish bound on the content.
       key_type seen = min_hint.load(std::memory_order_relaxed);
       while (lo < seen && !min_hint.compare_exchange_weak(
@@ -964,11 +961,8 @@ class PriorityService {
 
     void note_popped(std::size_t count, key_type last_key,
                      bool now_empty) noexcept {
-      std::size_t seen = size.load(std::memory_order_relaxed);
-      while (!size.compare_exchange_weak(
-          seen, seen >= count ? seen - count : 0, std::memory_order_relaxed,
-          std::memory_order_relaxed)) {
-      }
+      size.fetch_sub(static_cast<std::int64_t>(count),
+                     std::memory_order_relaxed);
       // Remaining shard content is (approximately) >= the last popped key;
       // an exhausted shard advertises "unknown/empty".
       min_hint.store(now_empty ? kNoHint : last_key,

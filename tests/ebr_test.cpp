@@ -1,5 +1,6 @@
 // Tests for the epoch-based reclamation domain: deferred freeing, epoch
-// advancement, drain, nesting, and a multi-threaded retire/read stress with
+// advancement, drain, nesting, orphan adoption, participant recycling,
+// bounded limbo lists, and a multi-threaded retire/read stress with
 // instrumented deleters.
 
 #include <gtest/gtest.h>
@@ -122,6 +123,54 @@ TEST(Ebr, OrphansOfExitedThreadsAreAdopted) {
   worker.join();  // thread exit hands its limbo lists to the orphan store
   domain.drain();
   EXPECT_EQ(g_deleted.load(), 5u);
+}
+
+TEST(Ebr, EpochAdvanceFreesOrphansWithoutDrain) {
+  EbrDomain domain;
+  g_deleted.store(0);
+  std::thread worker([&] {
+    EbrDomain::Guard guard(domain);
+    for (int i = 0; i < 5; ++i) domain.retire(new Counted(), &counted_deleter);
+  });
+  worker.join();
+  // The orphans keep the generation of their retirement epoch; the second
+  // advance after it frees them, with no drain().
+  for (int i = 0; i < 3; ++i) domain.try_advance();
+  EXPECT_EQ(g_deleted.load(), 5u);
+  EXPECT_EQ(domain.retired_count(), 0u);
+}
+
+TEST(Ebr, ExitedThreadSlotsAreRecycled) {
+  // More threads than participant records, one after another: each exit
+  // must give its record back (registration aborts when none is free).
+  EbrDomain domain;
+  g_deleted.store(0);
+  const unsigned threads = EbrDomain::kMaxParticipants + 8;
+  for (unsigned t = 0; t < threads; ++t) {
+    std::thread([&] {
+      EbrDomain::Guard guard(domain);
+      domain.retire(new Counted(), &counted_deleter);
+    }).join();
+  }
+  domain.drain();
+  EXPECT_EQ(g_deleted.load(), threads);
+}
+
+TEST(Ebr, UnpinnedRetiresKeepLimboBounded) {
+  // With no other reader pinned, the advance every kRetireInterval retires
+  // frees the generation two epochs back, so the limbo lists never hold
+  // more than a few intervals' worth and no drain() is needed to reclaim.
+  EbrDomain domain;
+  g_deleted.store(0);
+  const unsigned total = 20 * EbrDomain::kRetireInterval;
+  for (unsigned i = 0; i < total; ++i) {
+    EbrDomain::Guard guard(domain);
+    domain.retire(new Counted(), &counted_deleter);
+    ASSERT_LE(domain.retired_count(), 3 * EbrDomain::kRetireInterval) << i;
+  }
+  EXPECT_GE(g_deleted.load(), total - 3 * EbrDomain::kRetireInterval);
+  domain.drain();
+  EXPECT_EQ(g_deleted.load(), total);
 }
 
 // Readers traverse a published pointer while writers retire the previous

@@ -1,12 +1,14 @@
 // Component tests for the k-LSM internals: Block claim semantics, its
 // packed claim words and claim-merge exactly-once behaviour, BlockArray
-// minimum search, the ThreadLocalLsm (DLSM) including concurrent spy
-// stealing, and the SLSM's pivot-range relaxation guarantee.
+// minimum search, the ThreadLocalLsm (DLSM) as a sequential LSM (structural
+// rules, multiset model) and under concurrent spy stealing, and the SLSM's
+// pivot-range relaxation guarantee.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -533,6 +535,244 @@ TEST(Dlsm, ExtractLargestBlockRemovesItsItems) {
   EXPECT_EQ(rest.size() + batch.size(), 64u);
 }
 
+// ---- DLSM as a sequential LSM -------------------------------------------
+//
+// Used by its owner alone, the DLSM is the LSM of the paper: the cases below
+// check its structural rules after every restructuring and its answers
+// against a sorted model.
+
+// The LSM rules of the owner's published array: block capacities are
+// distinct powers of two in descending order, each block fills more than
+// half its capacity, and each block's keys are sorted. Claims only set bits,
+// so deletions cannot break these; flushes, merges and extraction must not.
+::testing::AssertionResult lsm_invariants_hold(
+    const ThreadLocalLsm<K, V>& lsm) {
+  const ArrayT* array = lsm.spy_array();
+  if (array == nullptr) return ::testing::AssertionSuccess();
+  for (std::uint32_t i = 0; i < array->count; ++i) {
+    const BlockT& block = *array->blocks[i];
+    const std::uint32_t cap = block.capacity();
+    if (!std::has_single_bit(cap) || block.slot_count() > cap ||
+        (cap > 1 && 2 * block.slot_count() <= cap)) {
+      return ::testing::AssertionFailure()
+             << "block " << i << " holds " << block.slot_count()
+             << " slots at capacity " << cap;
+    }
+    if (i > 0 && array->blocks[i - 1]->capacity() <= cap) {
+      return ::testing::AssertionFailure()
+             << "capacities not descending at block " << i;
+    }
+    for (std::uint32_t s = 1; s < block.slot_count(); ++s) {
+      if (block.slot(s).key < block.slot(s - 1).key) {
+        return ::testing::AssertionFailure()
+               << "block " << i << " unsorted at slot " << s;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Dlsm, EmptyBehaviour) {
+  ThreadLocalLsm<K, V> lsm;
+  ThreadLocalLsm<K, V>::PeekResult peeked;
+  K k;
+  V v;
+  EXPECT_FALSE(lsm.peek_local_min(peeked));
+  EXPECT_FALSE(lsm.delete_local_min(k, v));
+  EXPECT_EQ(lsm.live_estimate(), 0u);
+  EXPECT_EQ(lsm.spy_array(), nullptr);
+  EXPECT_TRUE(lsm.extract_largest_block().empty());
+  // Empty again once a staged item, then materialized ones, are taken.
+  const std::uint32_t n = ThreadLocalLsm<K, V>::kStagingSlots + 1;
+  for (const std::uint32_t count : {1u, n}) {
+    for (std::uint32_t i = 0; i < count; ++i) lsm.insert(i, i);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      ASSERT_TRUE(lsm.delete_local_min(k, v));
+    }
+    EXPECT_FALSE(lsm.delete_local_min(k, v));
+    EXPECT_FALSE(lsm.peek_local_min(peeked));
+    EXPECT_EQ(lsm.live_estimate(), 0u);
+  }
+}
+
+TEST(Dlsm, InsertionsKeepInvariants) {
+  ThreadLocalLsm<K, V> lsm;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    lsm.insert(1000 - i, i);
+    ASSERT_TRUE(lsm_invariants_hold(lsm)) << "after insert " << i;
+    ASSERT_EQ(lsm.live_estimate(), i + 1);
+  }
+  // 1000 inserts with distinct power-of-two block capacities need at most
+  // log2(1000)+1 blocks.
+  ASSERT_NE(lsm.spy_array(), nullptr);
+  EXPECT_LE(lsm.spy_array()->count, 10u);
+}
+
+TEST(Dlsm, SortsRandomInput) {
+  const std::uint32_t staged = ThreadLocalLsm<K, V>::kStagingSlots;
+  for (const std::uint32_t n :
+       {1u, 2u, 7u, staged, staged + 1, 64u, 65u, 1000u, 4096u}) {
+    SCOPED_TRACE(n);
+    ThreadLocalLsm<K, V> lsm;
+    Xoroshiro128 rng(n);
+    std::vector<K> keys;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      keys.push_back(rng.next_below(n));
+      lsm.insert(keys.back(), i);
+    }
+    std::sort(keys.begin(), keys.end());
+    K k;
+    V v;
+    for (const K expected : keys) {
+      ASSERT_TRUE(lsm.delete_local_min(k, v));
+      ASSERT_EQ(k, expected);
+      ASSERT_TRUE(lsm_invariants_hold(lsm));
+    }
+    EXPECT_FALSE(lsm.delete_local_min(k, v));
+  }
+}
+
+TEST(Dlsm, PeekMatchesDelete) {
+  // 300 inserts leave 12 items staged beside the blocks; the peeked
+  // candidate, staged or not, is what the next deletion or a claim of the
+  // peek takes.
+  ThreadLocalLsm<K, V> lsm;
+  Xoroshiro128 rng(5);
+  for (V i = 0; i < 300; ++i) lsm.insert(rng.next_below(100), i);
+  ThreadLocalLsm<K, V>::PeekResult peeked;
+  std::uint32_t taken = 0;
+  while (lsm.peek_local_min(peeked)) {
+    K k;
+    V v;
+    if (taken % 2 == 0) {
+      ASSERT_TRUE(lsm.delete_local_min(k, v));
+    } else {
+      ASSERT_TRUE(lsm.claim_peeked(peeked, k, v));
+    }
+    EXPECT_EQ(k, peeked.key);
+    ++taken;
+  }
+  EXPECT_EQ(taken, 300u);
+}
+
+class DlsmMixedOps : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DlsmMixedOps, MatchesMultisetModel) {
+  ThreadLocalLsm<K, V> lsm;
+  std::multiset<K> model;
+  Xoroshiro128 rng(GetParam());
+  const K key_range = 1 + GetParam() * 37 % 1000;
+  for (int op = 0; op < 20000; ++op) {
+    if (model.empty() || rng.next_below(100) < 52) {
+      const K key = rng.next_below(key_range);
+      lsm.insert(key, static_cast<V>(op));
+      model.insert(key);
+    } else {
+      K k;
+      V v;
+      ASSERT_TRUE(lsm.delete_local_min(k, v));
+      ASSERT_EQ(k, *model.begin());
+      model.erase(model.begin());
+    }
+    // An upper bound: a claimed slot counts until its block skips it.
+    ASSERT_GE(lsm.live_estimate(), model.size());
+    if (op % 256 == 0) {
+      ASSERT_TRUE(lsm_invariants_hold(lsm));
+    }
+  }
+  ASSERT_TRUE(lsm_invariants_hold(lsm));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DlsmMixedOps,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+TEST(Dlsm, DrainHeavyShrinksBlocks) {
+  // Claims leave drained blocks in place; the next publication drops every
+  // block without a live slot. 2048 ascending inserts materialize 2032
+  // items in 7 blocks and stage 16; deleting 2040 drains all 7.
+  ThreadLocalLsm<K, V> lsm;
+  for (K i = 0; i < 2048; ++i) lsm.insert(i, i);
+  K k;
+  V v;
+  for (int i = 0; i < 2040; ++i) {
+    ASSERT_TRUE(lsm.delete_local_min(k, v));
+    ASSERT_TRUE(lsm_invariants_hold(lsm));
+  }
+  ASSERT_NE(lsm.spy_array(), nullptr);
+  EXPECT_GT(lsm.spy_array()->count, 1u);
+  lsm.flush_staging();
+  ASSERT_EQ(lsm.spy_array()->count, 1u);
+  EXPECT_EQ(lsm.spy_array()->blocks[0]->slot_count(), 8u);
+  for (K expected = 2040; expected < 2048; ++expected) {
+    ASSERT_TRUE(lsm.delete_local_min(k, v));
+    EXPECT_EQ(k, expected);
+  }
+  EXPECT_FALSE(lsm.delete_local_min(k, v));
+}
+
+TEST(Dlsm, ExtractingEveryBlockEmpties) {
+  // Overflow extraction is the DLSM's bulk removal: taking the largest
+  // block until none is left (staging materializes once no block remains)
+  // empties the LSM, which then works as new.
+  ThreadLocalLsm<K, V> lsm;
+  for (K i = 0; i < 100; ++i) lsm.insert(i, i);
+  const auto by_key = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::size_t extracted = 0;
+  for (auto batch = lsm.extract_largest_block(); !batch.empty();
+       batch = lsm.extract_largest_block()) {
+    EXPECT_TRUE(std::is_sorted(batch.begin(), batch.end(), by_key));
+    extracted += batch.size();
+    ASSERT_TRUE(lsm_invariants_hold(lsm));
+  }
+  EXPECT_EQ(extracted, 100u);
+  EXPECT_EQ(lsm.live_estimate(), 0u);
+  K k;
+  V v;
+  EXPECT_FALSE(lsm.delete_local_min(k, v));
+  lsm.insert(1, 1);
+  EXPECT_EQ(lsm.live_estimate(), 1u);
+  ASSERT_TRUE(lsm.delete_local_min(k, v));
+  EXPECT_EQ(k, 1u);
+}
+
+TEST(Dlsm, SortedBatchesJoinTheMergeCascade) {
+  // A spy re-homes what it stole as one sorted batch (insert_sorted) beside
+  // the owner's blocks and staged singletons: the batch merges in under the
+  // same rules and its items come back in order with the rest.
+  ThreadLocalLsm<K, V> lsm;
+  std::multiset<K> model;
+  Xoroshiro128 rng(11);
+  std::vector<std::pair<K, V>> batch;
+  V next_value = 0;
+  for (int round = 0; round < 60; ++round) {
+    batch.clear();
+    const std::uint64_t size = rng.next_below(40);
+    for (std::uint64_t i = 0; i < size; ++i) {
+      batch.emplace_back(rng.next_below(500), next_value++);
+    }
+    std::sort(batch.begin(), batch.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    lsm.insert_sorted(batch.data(), static_cast<std::uint32_t>(size));
+    for (const auto& item : batch) model.insert(item.first);
+    for (int i = 0; i < 5; ++i) {
+      const K key = rng.next_below(500);
+      lsm.insert(key, next_value++);
+      model.insert(key);
+    }
+    ASSERT_TRUE(lsm_invariants_hold(lsm)) << "round " << round;
+    ASSERT_EQ(lsm.live_estimate(), model.size());
+  }
+  K k;
+  V v;
+  for (const K expected : model) {
+    ASSERT_TRUE(lsm.delete_local_min(k, v));
+    ASSERT_EQ(k, expected);
+  }
+  EXPECT_FALSE(lsm.delete_local_min(k, v));
+}
+
 TEST(Dlsm, ConcurrentSpyStealsExactlyOnce) {
   for (int round = 0; round < 10; ++round) {
     ThreadLocalLsm<K, V> victim;
@@ -693,6 +933,39 @@ TEST(DlsmStaging, ConcurrentOwnerAndSpyExactlyOnce) {
       ++total;
     }
     ASSERT_EQ(total, n);
+  }
+}
+
+TEST(DlsmStaging, SpyReadsConsistentPairs) {
+  // Staging slots are a seqlock: a spy copies key and value between its load
+  // of the stage word and the CAS that claims them, while the owner may
+  // refill a reused slot. Every pair taken must be one the owner wrote,
+  // never a key of one incarnation beside the value of another.
+  const auto value_of = [](K key) { return ~key; };
+  for (int round = 0; round < 20; ++round) {
+    ThreadLocalLsm<K, V> lsm;
+    constexpr K n = 4000;
+    std::vector<std::pair<K, V>> taken;
+    std::atomic<bool> done{false};
+    run_team(2, [&](unsigned tid) {
+      if (tid == 0) {
+        for (K key = 0; key < n; ++key) lsm.insert(key, value_of(key));
+        done.store(true, std::memory_order_release);
+      } else {
+        do {
+          lsm.steal_staging(taken);
+        } while (!done.load(std::memory_order_acquire));
+      }
+    });
+    K k;
+    V v;
+    while (lsm.delete_local_min(k, v)) taken.emplace_back(k, v);
+    std::set<K> keys;
+    for (const auto& [key, value] : taken) {
+      ASSERT_EQ(value, value_of(key)) << "torn pair for key " << key;
+      EXPECT_TRUE(keys.insert(key).second);
+    }
+    ASSERT_EQ(keys.size(), n);
   }
 }
 

@@ -1,6 +1,6 @@
 // Unit tests for the observability layer (src/obs/): log-linear histogram
 // bucket math and quantiles, and the per-thread metrics registry (counter
-// folding on thread exit, trace-ring wraparound, dump format).
+// names, folding on thread exit, trace-ring wraparound, dump format).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/chrome_trace.hpp"
@@ -255,6 +256,32 @@ TEST(MetricsRegistryTest, CounterNamesCoverEveryCounter) {
     EXPECT_STRNE(counter_name(c), "?") << c;
   }
   EXPECT_STREQ(counter_name(kNumCounters), "?");
+}
+
+TEST(MetricsRegistryTest, CounterNamesMatchTheirEnumerators) {
+  // The name table is positional: an enumerator added or removed without
+  // its name shifts every later name onto the wrong counter (and leaves a
+  // null at the end), which the exported counter_* records would carry.
+  const std::pair<Counter, const char*> expected[] = {
+      {Counter::kCasRetry, "cas_retry"},
+      {Counter::kLockRetry, "lock_retry"},
+      {Counter::kBackoffPause, "backoff_pause"},
+      {Counter::kEbrRetire, "ebr_retire"},
+      {Counter::kEbrFree, "ebr_free"},
+      {Counter::kEbrAdvance, "ebr_advance"},
+      {Counter::kServiceFlush, "service_flush"},
+      {Counter::kServiceRefill, "service_refill"},
+      {Counter::kServiceSteal, "service_steal"},
+      {Counter::kServiceReject, "service_reject"},
+      {Counter::kServiceShed, "service_shed"},
+      {Counter::kServiceTierReject, "service_tier_reject"},
+      {Counter::kServiceBreakerTrip, "service_breaker_trip"},
+      {Counter::kServiceReroute, "service_reroute"},
+  };
+  ASSERT_EQ(std::size(expected), kNumCounters);
+  for (const auto& [counter, name] : expected) {
+    EXPECT_STREQ(counter_name(static_cast<unsigned>(counter)), name);
+  }
 }
 
 TEST(MetricsRegistryTest, CellOpsAccumulateAndReset) {

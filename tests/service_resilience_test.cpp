@@ -322,19 +322,66 @@ TEST(ServiceResilience, PoolExhaustionFallsBackToNoDeadlineWithoutLoss) {
   cfg.shards = 1;
   cfg.insert_batch = 1;
   cfg.ttl_us = 1;
-  cfg.deadline_slots = 2;  // tiny pool: the rest must travel untagged
   auto service = make_lock_service(1, cfg);
   auto handle = service->get_handle(0);
-  for (K key = 1; key <= 6; ++key) handle.insert(key, key);
+  // An unbounded one-thread window derives 64 Ki + 2 * 32 = 65,600 deadline
+  // slots; the tasks past them must travel untagged.
+  constexpr K kTasks = 66'000;
+  for (K key = 1; key <= kTasks; ++key) handle.insert(key, key);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   K key;
   V value;
   std::uint64_t delivered = 0;
-  while (handle.delete_min(key, value)) ++delivered;
+  for (;;) {
+    if (handle.delete_min(key, value)) {
+      ++delivered;
+    } else if (handle.last_pop_shed() == 0) {
+      break;  // empty, not busy shedding the expired backlog
+    }
+  }
   const ServiceStats stats = service->stats();
   EXPECT_GT(stats.pool_exhausted, 0u);
   // Tagged tasks shed, untagged tasks delivered — but nothing vanished.
-  EXPECT_EQ(delivered + stats.shed_deadline, 6u);
+  EXPECT_EQ(delivered + stats.shed_deadline, kTasks);
+}
+
+TEST(ServiceResilience, DeadlinePoolCoversAFullBoundedWindow) {
+  // A bounded window derives max_in_flight + 2 * 32 slots per thread, so a
+  // full window split over two handles, each parking slots in its cache,
+  // still tags every task: all of them expire and shed, none travels
+  // untagged to be delivered.
+  ServiceConfig cfg;
+  cfg.shards = 2;
+  cfg.max_in_flight = 1000;
+  cfg.policy = AdmissionPolicy::kReject;
+  cfg.ttl_us = 1;
+  auto service = make_lock_service(2, cfg);
+  {
+    auto even = service->get_handle(0);
+    auto odd = service->get_handle(1);
+    for (K key = 0; key < 1000; ++key) {
+      ASSERT_TRUE((key % 2 == 0 ? even : odd).try_submit(key, key));
+    }
+    EXPECT_FALSE(even.try_submit(1000, 1000));  // the window is full
+    even.flush();
+    odd.flush();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  auto consumer = service->get_handle(0);
+  K key;
+  V value;
+  std::uint64_t delivered = 0;
+  for (;;) {
+    if (consumer.delete_min(key, value)) {
+      ++delivered;
+    } else if (consumer.last_pop_shed() == 0) {
+      break;
+    }
+  }
+  const ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.pool_exhausted, 0u);
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(stats.shed_deadline, 1000u);
 }
 
 // ------------------------------------------------------- tiered admission
