@@ -27,6 +27,7 @@
 #include "queues/multiqueue.hpp"
 #include "queues/spraylist.hpp"
 #include "seq/binary_heap.hpp"
+#include "seq/dary_heap.hpp"
 #include "seq/order_statistic_tree.hpp"
 #include "seq/pairing_heap.hpp"
 #include "workloads/keyspace.hpp"
@@ -104,16 +105,21 @@ void BM_SeqQueueSteadyState(benchmark::State& state) {
 BENCHMARK(BM_SeqQueueSteadyState<cpq::seq::BinaryHeap<K, V>>)
     ->Arg(1000)
     ->Arg(100000);
+BENCHMARK(BM_SeqQueueSteadyState<cpq::seq::DaryHeap<K, V, 4>>)
+    ->Arg(1000)
+    ->Arg(100000);
 BENCHMARK(BM_SeqQueueSteadyState<cpq::seq::PairingHeap<K, V>>)
     ->Arg(1000)
     ->Arg(100000);
 
 // ---- k-LSM block machinery ---------------------------------------------
 
-// Claim-merge two interleaved n-slot blocks, the step every k-LSM merge
-// cascade repeats. `claimed_front` slots at the head of each block are
-// claimed beforehand, as deleters leave them at the front of an SLSM block;
-// items/s counts the live items the merge moves.
+// Merge two interleaved n-slot blocks with the cascade's copy-merge-claim
+// routine (copy into a fresh pooled block, then claim the sources), the
+// step every k-LSM merge cascade repeats; the merged block's creation is
+// timed, its release is not. `claimed_front` slots at the head of each
+// block are claimed beforehand, as deleters leave them at the front of an
+// SLSM block; items/s counts the live items the merge moves.
 void block_claim_merge(benchmark::State& state, std::int64_t claimed_front) {
   const std::int64_t n = state.range(0);
   for (auto _ : state) {
@@ -128,8 +134,10 @@ void block_claim_merge(benchmark::State& state, std::int64_t claimed_front) {
       b->claim(static_cast<std::uint32_t>(i));
     }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(cpq::klsm_detail::claim_merge(*a, *b));
+    auto* merged = cpq::klsm_detail::copy_merge_claim(*a, *b);
+    benchmark::DoNotOptimize(merged);
     state.PauseTiming();
+    merged->unref();
     a->unref();
     b->unref();
     state.ResumeTiming();
@@ -149,8 +157,8 @@ void BM_BlockClaimMergeHalfClaimed(benchmark::State& state) {
 BENCHMARK(BM_BlockClaimMergeHalfClaimed)->Arg(4096)->Arg(65536);
 
 // The raw merge kernels, decoupled from slot claiming: scalar oracle vs the
-// branch-free unrolled loop. Items/sec here bound how fast claim_merge can
-// ever go. The second argument selects the take pattern, which decides the
+// branch-free unrolled loop the cascade runs (merge_runs). Items/sec here bound how fast a cascade merge
+// can ever go. The second argument selects the take pattern, which decides the
 // contest: 0 strictly alternates (a branch predictor's best case,
 // flattering the scalar loop), 1 draws both runs from the same uniform
 // distribution — rotating through many distinct input pairs, because
@@ -195,8 +203,10 @@ void BM_MergeKernel(benchmark::State& state) {
       produced =
           cpq::klsm_detail::merge_sorted_scalar(a, n, b, n, out.data());
     } else {
-      produced =
-          cpq::klsm_detail::merge_sorted_branchfree(a, n, b, n, out.data());
+      // merge_runs over one-piece runs: the cascade's kernel on plain
+      // arrays.
+      produced = cpq::klsm_detail::merge_runs<Item>(
+          {a, n, nullptr, 0}, {b, n, nullptr, 0}, out.data());
     }
     benchmark::DoNotOptimize(produced);
     benchmark::DoNotOptimize(out.data());

@@ -1,4 +1,5 @@
-// k-LSM building blocks: sorted item blocks and versioned block arrays.
+// k-LSM building blocks: sorted item blocks, the two-phase copy-merge
+// of a colliding pair, and versioned block arrays.
 //
 // A Block is a write-once sorted array of (key, value) slots plus one packed
 // 64-bit claim word per 64 slots. After construction only the claim words
@@ -9,24 +10,27 @@
 // and re-materialized (still exactly once) in the destination block, which
 // is how merges, DLSM->SLSM overflow batches, and spy() stealing all avoid
 // duplicate delivery without the original k-LSM's pooled item-version tags.
-// Those bulk moves go through drain_into, which claims a whole word with one
-// exchange(~0) and emits the slots whose old bit was 0, so a drain costs one
+// Bulk moves claim a whole word with one exchange(~0), so a move costs one
 // locked instruction per 64 slots rather than one per slot.
 //
-// A BlockArray is an immutable snapshot of a LSM's block list (capacities
-// strictly decreasing), published through a single atomic pointer and
-// reclaimed via EBR. Blocks are shared between array versions (and between a
-// victim's array and a spy) through an intrusive refcount: each array owns
-// one reference per contained block, and the EBR deleter of a retired array
-// drops them.
+// A merge (CopyMerge) copies first and claims second: it merges the slots
+// live in a snapshot of the sources' claim words straight into the new
+// block, then exchanges the source words and marks claimed in the new block
+// every copied item someone else claimed in between. Copying claims nothing,
+// so the SLSM runs it outside its insert lock while the sources stay
+// published and claimable.
 //
-// SLSM arrays additionally carry the pivot range: per block, an index
-// `pivot_end[i]` such that every slot below it has a key <= a threshold X
-// with count(keys <= X) <= k+1 at computation time. Because candidate
-// membership is defined by a key threshold and items only ever leave,
-// a published pivot entry never becomes unsafe (DESIGN.md §4).
+// A BlockArray is an immutable snapshot of a LSM's block list (capacities
+// decreasing, strictly so in the DLSM and in the SLSM whenever no merge is
+// in flight), published through a single atomic pointer and reclaimed via
+// EBR. Blocks are shared between array versions (and between a victim's
+// array and a spy) through an intrusive refcount: each array owns one
+// reference per contained block, and the EBR deleter of a retired array
+// drops them. The SLSM's arrays extend it with their candidate ranges
+// (SlsmArray, slsm.hpp).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -46,12 +50,12 @@
 namespace cpq::klsm_detail {
 
 template <typename Key, typename Value>
+class CopyMerge;
+
+template <typename Key, typename Value>
 class Block {
  public:
-  struct Slot {
-    Key key;
-    Value value;
-  };
+  using Slot = std::pair<Key, Value>;
 
   static constexpr std::uint32_t kWordBits = 64;
 
@@ -61,13 +65,18 @@ class Block {
   // Header, claim words and slot array live in ONE pooled chunk
   // (mm::pool_alloc), so the merge cascade's block churn is a magazine
   // pop/push instead of malloc/free round-trips per block version.
-  static Block* create(const std::pair<Key, Value>* sorted_items,
-                       std::uint32_t n) {
-    void* raw = mm::pool_alloc(storage_bytes(n));
-    return new (raw) Block(sorted_items, n);
+  static Block* create(const Slot* sorted_items, std::uint32_t n) {
+    Block* block = allocate(n);
+    std::uninitialized_copy_n(sorted_items, n, block->slots_);
+#ifndef NDEBUG
+    for (std::uint32_t i = 1; i < n; ++i) {
+      assert(!(sorted_items[i].first < sorted_items[i - 1].first));
+    }
+#endif
+    return block;
   }
 
-  static Block* create(std::vector<std::pair<Key, Value>>&& sorted_items) {
+  static Block* create(std::vector<Slot>&& sorted_items) {
     return create(sorted_items.data(),
                   static_cast<std::uint32_t>(sorted_items.size()));
   }
@@ -89,6 +98,12 @@ class Block {
     assert(i < count_);
     return slots_[i];
   }
+
+  // SLSM only, read and written under its insert lock: the block belongs to
+  // a pair an inserter is merging outside the lock, so no other inserter
+  // may merge it and every array carries it until the merge is spliced in.
+  bool reserved() const noexcept { return reserved_; }
+  void set_reserved() noexcept { reserved_ = true; }
 
   // First slot index not yet claimed, starting from the head hint; advances
   // the hint (monotonically in effect — the hint may transiently regress
@@ -148,7 +163,7 @@ class Block {
     std::uint32_t hi = count_;
     while (lo < hi) {
       const std::uint32_t mid = lo + (hi - lo) / 2;
-      if (threshold < slots_[mid].key) {
+      if (threshold < slots_[mid].first) {
         hi = mid;
       } else {
         lo = mid + 1;
@@ -159,30 +174,39 @@ class Block {
 
   // Claim-move every still-live item into `out`, preserving sort order: one
   // exchange(~0) per claim word, emitting the slots whose old bit was 0.
-  void drain_into(std::vector<std::pair<Key, Value>>& out) {
+  // Used where the items leave the block structure (DLSM->SLSM overflow,
+  // spy); merges go through CopyMerge instead.
+  void drain_into(std::vector<Slot>& out) {
     const std::uint32_t first = first_live();
     if (first >= count_) return;
     for (std::uint32_t w = first / kWordBits; w < word_count(); ++w) {
-      // Fault injection: a drain (merge / spy / overflow) racing deleters
-      // word by word is the k-LSM's busiest ownership-transfer seam.
+      // Fault injection: a drain (spy / overflow) racing deleters word by
+      // word is the k-LSM's busiest ownership-transfer seam.
       CPQ_INJECT("block.drain");
       std::uint64_t live =
           ~words_[w].exchange(kAllClaimed, std::memory_order_acq_rel);
       for (; live != 0; live &= live - 1) {
-        const Slot& s =
-            slots_[w * kWordBits +
-                   static_cast<std::uint32_t>(std::countr_zero(live))];
-        out.emplace_back(s.key, s.value);
+        out.push_back(slots_[w * kWordBits + static_cast<std::uint32_t>(
+                                                 std::countr_zero(live))]);
       }
     }
     head_hint_.store(count_, std::memory_order_relaxed);
   }
 
  private:
+  friend class CopyMerge<Key, Value>;
+
   using Word = std::atomic<std::uint64_t>;
   static constexpr std::uint64_t kAllClaimed = ~std::uint64_t{0};
 
-  Block(const std::pair<Key, Value>* sorted_items, std::uint32_t n)
+  // A block of n slots with every claim word clear and the slots
+  // unwritten: create() copies into them, CopyMerge merges into them.
+  static Block* allocate(std::uint32_t n) {
+    void* raw = mm::pool_alloc(storage_bytes(n));
+    return new (raw) Block(n);
+  }
+
+  explicit Block(std::uint32_t n)
       : count_(n),
         capacity_(capacity_for(n)),
         words_(reinterpret_cast<Word*>(reinterpret_cast<char*>(this) +
@@ -195,12 +219,6 @@ class Block {
     if (count_ % kWordBits != 0) {
       words_[word_count() - 1].store(~low_bits(count_ % kWordBits),
                                      std::memory_order_relaxed);
-    }
-    for (std::uint32_t i = 0; i < count_; ++i) {
-      new (&slots_[i]) Slot{sorted_items[i].first, sorted_items[i].second};
-#ifndef NDEBUG
-      assert(i == 0 || !(sorted_items[i].first < sorted_items[i - 1].first));
-#endif
     }
   }
 
@@ -250,50 +268,178 @@ class Block {
   Slot* const slots_;
   mutable std::atomic<std::uint32_t> head_hint_{0};
   std::atomic<std::uint32_t> refs_{1};
+  bool reserved_ = false;
 };
 
-// Claim-merge two blocks (stable two-way step of the LSM merge cascade).
-// Items lost to racing claimants are simply skipped.
+// Merge one colliding pair of the LSM cascade, (a, b) with a the older,
+// larger block, in two phases (the SLSM drops its insert lock in between;
+// the DLSM runs them back to back):
 //
-// Drain-then-merge: each block's still-live items are first claimed out in
-// order into per-thread scratch runs, then the runs are combined with the
-// branch-free kernel (merge_kernel.hpp). Compared to the old
-// interleaved claim-and-compare loop this (a) removes the per-element
-// mispredicted winner branch from the comparison loop, and (b) sizes the
-// result exactly — the old `reserve(a.live_estimate() + b.live_estimate())`
-// counted slots racing claimants had already taken, so the hot path
-// routinely allocated far more than it filled. The scratch reserves use
-// live_estimate() (a true upper bound on what drain_into can emit) and the
-// scratch capacity persists across merges, so steady state does no
-// allocation at all beyond the exact-size result.
+//   copy(a, b)  claims nothing. It snapshots each source's claim words from
+//               its first live slot on and merges the slots live in the
+//               snapshot straight into a fresh pooled block, each item
+//               written once. A source's claimed slots sit at its front
+//               (deleters take candidates there), so only the live slots
+//               before its last claimed one are compacted into scratch; the
+//               hole-free rest is merged in place (merge_runs).
+//   claim()     takes both sources with one exchange(~0) per claim word. A
+//               slot live in the snapshot whose exchanged bit is set was
+//               copied and then claimed by someone else: it is marked
+//               claimed in the new block, at its index in its own run plus
+//               the count of the other run's items the merge put before it
+//               — strictly smaller keys when it comes from a, smaller or
+//               equal ones when it comes from b (ties take a first, as the
+//               kernel does). Every other copied slot was won by the
+//               exchange.
 //
-// Ordering note: claims happen run-by-run (all of `a`, then all of `b`)
-// instead of interleaved by key. Per-slot exactly-once transfer is
-// unaffected — it relies only on each claim bit flipping once, not on claim
-// order.
+// So each item ends owned exactly once: by whoever claimed it from a source
+// first, or live in the new block. The new block is private until its
+// owner publishes it, after claim().
 template <typename Key, typename Value>
-void claim_merge_into(Block<Key, Value>& a, Block<Key, Value>& b,
-                      std::vector<std::pair<Key, Value>>& merged) {
-  using Item = std::pair<Key, Value>;
-  thread_local std::vector<Item> run_a;
-  thread_local std::vector<Item> run_b;
-  run_a.clear();
-  run_b.clear();
-  run_a.reserve(a.live_estimate());
-  run_b.reserve(b.live_estimate());
-  a.drain_into(run_a);
-  b.drain_into(run_b);
-  merged.resize(run_a.size() + run_b.size());
-  merge_sorted(run_a.data(), run_a.size(), run_b.data(), run_b.size(),
-               merged.data());
-}
+class CopyMerge {
+ public:
+  using BlockT = Block<Key, Value>;
+  using Slot = typename BlockT::Slot;
 
+  void copy(BlockT& a, BlockT& b) {
+    sources_[0].read(a);
+    sources_[1].read(b);
+    const std::size_t n = sources_[0].size() + sources_[1].size();
+    merged_ = nullptr;
+    if (n == 0) return;
+    merged_ = BlockT::allocate(static_cast<std::uint32_t>(n));
+    merge_runs(sources_[0].run(), sources_[1].run(), merged_->slots_);
+  }
+
+  // The merged block (refs 1), or nullptr when none of its items is live.
+  // The sources are fully claimed afterwards.
+  BlockT* claim() {
+    take(sources_[0], sources_[1], /*from_first=*/true);
+    take(sources_[1], sources_[0], /*from_first=*/false);
+    BlockT* merged = merged_;
+    merged_ = nullptr;
+    if (merged != nullptr && merged->first_live() >= merged->slot_count()) {
+      merged->unref();
+      return nullptr;
+    }
+    return merged;
+  }
+
+ private:
+  // One source block as copy() saw it. Its run is `head` (the live slots
+  // before the last slot claimed in the snapshot) followed by the slots
+  // [tail_start, count) read in place.
+  struct Source {
+    BlockT* block = nullptr;
+    std::uint32_t first_word = 0;
+    std::uint32_t tail_start = 0;
+    std::vector<std::uint64_t> snapshot;  // claim words from first_word on
+    std::vector<Slot> head;
+
+    void read(BlockT& source) {
+      block = &source;
+      const std::uint32_t count = source.slot_count();
+      first_word = source.first_live() / BlockT::kWordBits;
+      snapshot.clear();
+      head.clear();
+      // Every slot past the last claimed one is live; the padding bits of
+      // a partial last word are masked out of that search.
+      const std::uint32_t words = source.word_count();
+      const std::uint64_t last_word_mask =
+          count % BlockT::kWordBits == 0
+              ? BlockT::kAllClaimed
+              : BlockT::low_bits(count % BlockT::kWordBits);
+      tail_start = first_word * BlockT::kWordBits;
+      for (std::uint32_t w = first_word; w < words; ++w) {
+        const std::uint64_t bits =
+            source.words_[w].load(std::memory_order_acquire);
+        snapshot.push_back(bits);
+        const std::uint64_t claimed =
+            w + 1 == words ? bits & last_word_mask : bits;
+        if (claimed != 0) {
+          tail_start = w * BlockT::kWordBits + BlockT::kWordBits -
+                       static_cast<std::uint32_t>(std::countl_zero(claimed));
+        }
+      }
+      for (std::uint32_t w = first_word; w * BlockT::kWordBits < tail_start;
+           ++w) {
+        for (std::uint64_t live = ~snapshot[w - first_word]; live != 0;
+             live &= live - 1) {
+          const std::uint32_t s =
+              w * BlockT::kWordBits +
+              static_cast<std::uint32_t>(std::countr_zero(live));
+          if (s >= tail_start) break;
+          head.push_back(source.slots_[s]);
+        }
+      }
+    }
+
+    std::size_t size() const noexcept {
+      return head.size() + (block->slot_count() - tail_start);
+    }
+
+    Run<Slot> run() const noexcept {
+      return {head.data(), head.size(), block->slots_ + tail_start,
+              block->slot_count() - tail_start};
+    }
+
+    // Items of the run ordered before `key`: keys < key, or <= key when
+    // `or_equal` (the run is head then tail, both sorted).
+    std::size_t count_before(const Key& key, bool or_equal) const {
+      const auto before = [&](const Slot& s) {
+        return or_equal ? !(key < s.first) : s.first < key;
+      };
+      const std::size_t in_head = static_cast<std::size_t>(
+          std::partition_point(head.begin(), head.end(), before) -
+          head.begin());
+      if (in_head < head.size()) return in_head;
+      const Slot* tail = block->slots_ + tail_start;
+      const Slot* tail_end = block->slots_ + block->slot_count();
+      return in_head + static_cast<std::size_t>(
+                           std::partition_point(tail, tail_end, before) -
+                           tail);
+    }
+  };
+
+  // Exchange every claim word of `own` from its snapshot on and mark the
+  // slots lost since the copy claimed in the merged block.
+  void take(Source& own, const Source& other, bool from_first) {
+    BlockT& block = *own.block;
+    std::size_t run_index = 0;  // run index of word w's first live slot
+    for (std::uint32_t w = own.first_word; w < block.word_count(); ++w) {
+      const std::uint64_t live = ~own.snapshot[w - own.first_word];
+      const std::uint64_t old =
+          block.words_[w].exchange(BlockT::kAllClaimed,
+                                   std::memory_order_acq_rel);
+      for (std::uint64_t lost = live & old; lost != 0; lost &= lost - 1) {
+        const auto bit = static_cast<std::uint32_t>(std::countr_zero(lost));
+        const Key& key = block.slots_[w * BlockT::kWordBits + bit].first;
+        const std::size_t index =
+            run_index +
+            static_cast<std::size_t>(
+                std::popcount(live & BlockT::low_bits(bit))) +
+            other.count_before(key, /*or_equal=*/!from_first);
+        merged_->words_[index / BlockT::kWordBits].fetch_or(
+            std::uint64_t{1} << (index % BlockT::kWordBits),
+            std::memory_order_relaxed);
+      }
+      run_index += static_cast<std::size_t>(std::popcount(live));
+    }
+    block.head_hint_.store(block.count_, std::memory_order_relaxed);
+  }
+
+  Source sources_[2];
+  BlockT* merged_ = nullptr;
+};
+
+// Copy, claim and return the merged block (nullptr when nothing in it is
+// live), the two phases back to back: the DLSM cascade's merge step.
 template <typename Key, typename Value>
-std::vector<std::pair<Key, Value>> claim_merge(Block<Key, Value>& a,
-                                               Block<Key, Value>& b) {
-  std::vector<std::pair<Key, Value>> merged;
-  claim_merge_into(a, b, merged);
-  return merged;
+Block<Key, Value>* copy_merge_claim(Block<Key, Value>& a,
+                                    Block<Key, Value>& b) {
+  thread_local CopyMerge<Key, Value> merge;
+  merge.copy(a, b);
+  return merge.claim();
 }
 
 template <typename Key, typename Value>
@@ -302,22 +448,22 @@ struct BlockArray {
 
   std::uint32_t count = 0;
   Block<Key, Value>* blocks[kMaxBlocks] = {};
-  // SLSM pivot range: candidates of block i are slots [first_live, pivot_end).
-  std::atomic<std::uint32_t> pivot_end[kMaxBlocks] = {};
 
   // The array takes over the caller's reference for each block pointer it
   // stores (callers ref() blocks they also keep).
   static BlockArray* create() { return new BlockArray(); }
 
   static void destroy(BlockArray* array) {
-    for (std::uint32_t i = 0; i < array->count; ++i) {
-      array->blocks[i]->unref();
-    }
+    array->unref_blocks();
     delete array;
   }
 
   // Type-erased deleter for EBR retirement.
   static void ebr_deleter(void* p) { destroy(static_cast<BlockArray*>(p)); }
+
+  void unref_blocks() noexcept {
+    for (std::uint32_t i = 0; i < count; ++i) blocks[i]->unref();
+  }
 
   std::uint32_t live_estimate() const noexcept {
     std::uint32_t total = 0;
@@ -338,7 +484,7 @@ struct BlockArray {
     for (std::uint32_t i = 0; i < count; ++i) {
       const std::uint32_t first = blocks[i]->first_live();
       if (first >= blocks[i]->slot_count()) continue;
-      const Key key = blocks[i]->slot(first).key;
+      const Key key = blocks[i]->slot(first).first;
       if (!found || key < best_key) {
         found = true;
         block_out = i;

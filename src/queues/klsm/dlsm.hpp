@@ -197,8 +197,8 @@ class ThreadLocalLsm {
     BlockT* block = array->blocks[peeked.block];
     if (peeked.slot >= block->slot_count()) return false;
     if (!block->claim(peeked.slot)) return false;
-    key_out = block->slot(peeked.slot).key;
-    value_out = block->slot(peeked.slot).value;
+    key_out = block->slot(peeked.slot).first;
+    value_out = block->slot(peeked.slot).second;
     return true;
   }
 
@@ -292,23 +292,20 @@ class ThreadLocalLsm {
     publish(next, old_array);
   }
 
-  // Merge trailing blocks while capacities collide. Claim-merged blocks
-  // replace their sources in the (owner-private, unpublished) array.
+  // Merge trailing blocks while capacities collide. Merged blocks replace
+  // their sources in the (owner-private, unpublished) array; spies may
+  // claim from the sources meanwhile, and copy_merge_claim marks what they
+  // took in the merged block.
   static void merge_cascade(ArrayT& array) {
-    thread_local std::vector<std::pair<Key, Value>> merged_items;
     while (array.count >= 2) {
       BlockT* last = array.blocks[array.count - 1];
       BlockT* prev = array.blocks[array.count - 2];
       if (prev->capacity() > last->capacity()) break;
-      claim_merge_into(*prev, *last, merged_items);
+      BlockT* merged = copy_merge_claim(*prev, *last);
       prev->unref();
       last->unref();
       array.count -= 2;
-      if (!merged_items.empty()) {
-        array.blocks[array.count++] = BlockT::create(
-            merged_items.data(),
-            static_cast<std::uint32_t>(merged_items.size()));
-      }
+      if (merged != nullptr) array.blocks[array.count++] = merged;
     }
   }
 

@@ -77,8 +77,7 @@ class KLsmQueue {
 
         mm::EbrDomain::Guard guard;
         typename SlsmT::Candidate candidate;
-        const bool have_shared =
-            q.slsm_.peek_random_candidate(candidate, rng_);
+        const bool have_shared = q.slsm_.peek_candidate(view_, candidate, rng_);
 
         if (have_local &&
             (!have_shared || !(candidate.key < local_peek.key))) {
@@ -134,6 +133,7 @@ class KLsmQueue {
     KLsmQueue* queue_;
     unsigned tid_;
     Xoroshiro128 rng_;
+    typename SlsmT::View view_;
     std::vector<std::pair<Key, Value>> spy_scratch_;
   };
 

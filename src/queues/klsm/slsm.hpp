@@ -1,28 +1,45 @@
 // Shared LSM (SLSM): the global, relaxed component of the k-LSM.
 //
-// One global BlockArray is published through an atomic pointer. delete_min
+// One global SlsmArray is published through an atomic pointer. delete_min
 // picks a uniformly random live slot from the *pivot range* — per block, the
 // slots whose keys are <= a threshold X chosen such that the number of slots
 // with key <= X was at most k+1 at computation time. Because membership is
 // defined by a key threshold and items only ever get claimed (never added to
 // a published array), a pivot entry can never become unsafe; it is refreshed
 // when the range drains (DESIGN.md §4). Deletions therefore skip at most k
-// items, the SLSM half of the k-LSM's kP bound.
+// items, the SLSM half of the k-LSM's kP bound. Each deleting handle keeps a
+// View, its own copy of the current array's candidate ranges, and rereads
+// the array only when a new one is published or all its ranges drained; it
+// recomputes the ranges only when the reread ones are drained too, so one
+// refresh serves every handle.
 //
-// Structural inserts (batches arriving from DLSM overflows) are serialized
-// by a spinlock. The original k-LSM publishes block arrays lock-free from a
-// versioned block pool; with our claim-move semantics a failed optimistic
-// publication cannot be rolled back without losing items, so we trade
-// lock-freedom of the (already batched, amortized-rare) insert path for a
-// much simpler proof. delete_min remains lock-free. The benchmark shape is
-// preserved: SLSM inserts are the k-LSM's slow path either way, and the
-// paper's split-workload collapse (Fig. 2) reproduces (EXPERIMENTS.md).
+// Inserts (batches arriving from DLSM overflows) take a spinlock, but it
+// serializes publication only: every merge of the cascade copies outside
+// it. (The original k-LSM publishes without a lock; here moving an item
+// claims it, so an optimistic publication that failed could not be rolled
+// back. Copying without claiming, then claiming at the splice, is what
+// lets the merge leave the lock.) Under the lock an inserter appends its
+// block, marks the colliding pair reserved (no other inserter merges a
+// reserved block, and every array carries it until its merge is spliced
+// in) and publishes, so the pair's items stay visible and claimable while
+// it copies them into the merged block (CopyMerge::copy, block.hpp). Back
+// under the lock it claims every slot of the pair, marks claimed in the
+// merged block each copied item a deleter took since the copy, splices the
+// merged block in place of the pair and publishes again. Each claim bit of
+// the pair flips once, so every item is delivered exactly once: a deleter
+// took it before the copy (not copied), after the copy (copied, but marked
+// claimed before anyone can see the merged block), or the splice took it
+// (live in the merged block). A merge never stalls the other inserters,
+// delete_min is lock-free, and an insert returns once its own items are
+// published, merges included.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,11 +52,124 @@
 
 namespace cpq::klsm_detail {
 
+// An SLSM array version: the block list plus what only the SLSM's deleters
+// read. pivot_end[i] ends block i's candidate range, which starts at the
+// block's first live slot: every live slot below the end has a key <= a
+// threshold X with count(keys <= X) <= k+1 when the ends were computed, and
+// the end is 0 when the block contributes none. The publication number,
+// unique per Slsm, names the version together with its address, since the
+// allocator may hand a freed array's address to a later one.
+template <typename Key, typename Value>
+struct SlsmArray : BlockArray<Key, Value> {
+  using Base = BlockArray<Key, Value>;
+  using Base::blocks;
+  using Base::count;
+
+  std::atomic<std::uint32_t> pivot_end[Base::kMaxBlocks] = {};
+  std::uint64_t publication = 0;
+
+  static SlsmArray* create() { return new SlsmArray(); }
+
+  static void destroy(SlsmArray* array) {
+    array->unref_blocks();
+    delete array;
+  }
+
+  static void ebr_deleter(void* p) { destroy(static_cast<SlsmArray*>(p)); }
+
+  // Set each block's range end just past the last live item it contributes
+  // to the (up to) k+1 smallest live items of the array: a multi-way merge
+  // over one cursor and one cached head key per block that advances only
+  // the block whose head it takes, so it reads (k+1)+B claim words rather
+  // than (k+1)*B. The blocks wait in a binary min-heap by (head key, block
+  // index), so ties go to the lowest index, as a scan of all heads would
+  // pick. The ranges hold exactly those items plus claimed holes, which
+  // probes skip, so the "one of the k+1 smallest" guarantee is exact even
+  // with heavy key duplication, and the ranges expose a live candidate
+  // while any exists. Returns false iff no slot is live.
+  //
+  // Claims racing with the computation only remove items, which can only
+  // shrink the set the ranges denote — a stale end therefore never
+  // violates the bound (DESIGN.md §4).
+  bool compute_pivots(std::uint64_t k) noexcept {
+    std::uint32_t cursor[Base::kMaxBlocks];
+    std::uint32_t end[Base::kMaxBlocks];
+    Key head[Base::kMaxBlocks];
+    std::uint32_t heap[Base::kMaxBlocks];
+    std::uint32_t size = 0;
+    const auto before = [&](std::uint32_t x, std::uint32_t y) {
+      return head[x] < head[y] || (!(head[y] < head[x]) && x < y);
+    };
+    // Put block `moving` at heap position `at` or below it.
+    const auto sift_down = [&](std::uint32_t at, std::uint32_t moving) {
+      while (2 * at + 1 < size) {
+        std::uint32_t child = 2 * at + 1;
+        if (child + 1 < size && before(heap[child + 1], heap[child])) ++child;
+        if (!before(heap[child], moving)) break;
+        heap[at] = heap[child];
+        at = child;
+      }
+      heap[at] = moving;
+    };
+    for (std::uint32_t i = 0; i < count; ++i) {
+      cursor[i] = blocks[i]->first_live();
+      end[i] = 0;
+      if (cursor[i] < blocks[i]->slot_count()) {
+        head[i] = blocks[i]->slot(cursor[i]).first;
+        heap[size++] = i;
+      }
+    }
+    for (std::uint32_t at = size / 2; at-- > 0;) sift_down(at, heap[at]);
+    const bool any = size > 0;
+    for (std::uint64_t picked = 0; picked <= k && size > 0; ++picked) {
+      const std::uint32_t best = heap[0];
+      const Block<Key, Value>& block = *blocks[best];
+      end[best] = cursor[best] + 1;
+      cursor[best] = block.next_live(end[best], block.slot_count());
+      if (cursor[best] < block.slot_count()) {
+        head[best] = block.slot(cursor[best]).first;
+        sift_down(0, best);
+      } else if (--size > 0) {
+        sift_down(0, heap[size]);
+      }
+    }
+    for (std::uint32_t i = 0; i < count; ++i) {
+      pivot_end[i].store(end[i], std::memory_order_release);
+    }
+    return any;
+  }
+};
+
 template <typename Key, typename Value>
 class Slsm {
  public:
   using BlockT = Block<Key, Value>;
-  using ArrayT = BlockArray<Key, Value>;
+  using ArrayT = SlsmArray<Key, Value>;
+
+  // A deleting handle's copy of one array's candidate ranges. It names the
+  // array by address and publication number (the address alone may be
+  // reused once EBR frees the array) and is reloaded only when another
+  // array is published or when all its ranges are found drained. A drained
+  // range never has to be reread before that: range membership is a key
+  // threshold and items only leave an array, so whatever is still live in
+  // the cached ranges stays among the k+1 smallest.
+  struct View {
+    const ArrayT* array = nullptr;  // compared, never dereferenced
+    std::uint64_t publication = 0;
+    std::uint64_t total = 0;  // sum of end - start
+    std::uint32_t start[ArrayT::kMaxBlocks] = {};
+    std::uint32_t end[ArrayT::kMaxBlocks] = {};
+  };
+
+  // A live pivot-range slot as peek_candidate saw it. The caller must hold
+  // an EBR guard across peek and claim; the candidate pins (array, block,
+  // slot).
+  struct Candidate {
+    ArrayT* array = nullptr;
+    std::uint32_t block = 0;
+    std::uint32_t slot = 0;
+    Key key{};
+  };
 
   explicit Slsm(std::uint64_t relaxation_k) : k_(relaxation_k) {}
 
@@ -60,131 +190,64 @@ class Slsm {
     publish_fresh(BlockT::create(one, 1));
   }
 
-  // Insert a sorted batch as one block, merge the cascade, recompute pivots
-  // and publish. Serialized against other inserters.
+  // Insert a sorted batch as one block and run the merge cascade.
   void insert_batch(std::vector<std::pair<Key, Value>>&& sorted_items) {
     if (sorted_items.empty()) return;
-    publish_fresh(BlockT::create(sorted_items.data(),
-                                 static_cast<std::uint32_t>(sorted_items.size())));
-  }
-  // Carry the live blocks of the published array plus `fresh` into a new
-  // array, merge, recompute pivots, publish, retire the old snapshot.
-  // Shared by insert() and insert_batch(); serialized by the insert lock.
-  void publish_fresh(BlockT* fresh) {
-    std::lock_guard<Spinlock> lock(insert_lock_.value);
-    ArrayT* old_array = published_.load(std::memory_order_relaxed);
-    ArrayT* next = ArrayT::create();
-    if (old_array) {
-      for (std::uint32_t i = 0; i < old_array->count; ++i) {
-        BlockT* block = old_array->blocks[i];
-        if (block->first_live() >= block->slot_count()) continue;
-        block->ref();
-        next->blocks[next->count++] = block;
-      }
-    }
-    next->blocks[next->count++] = fresh;
-    merge_cascade(*next);
-    compute_pivots(*next, k_);
-    // Fault injection: delay publication — deleters keep hammering the old
-    // array while the replacement (holding the same blocks) is in flight.
-    CPQ_INJECT("slsm.publish");
-    published_.store(next, std::memory_order_release);
-    if (old_array) {
-      mm::EbrDomain::Guard guard;
-      mm::EbrDomain::global().retire(static_cast<void*>(old_array),
-                                     &ArrayT::ebr_deleter);
-    }
+    publish_fresh(BlockT::create(std::move(sorted_items)));
   }
 
-  // Claim a uniformly random item from the pivot range. Lock-free.
+  // Claim a uniformly random item of the caller's view. Lock-free.
   // Returns false only when the SLSM appears empty.
-  bool delete_min(Key& key_out, Value& value_out, Xoroshiro128& rng) {
+  bool delete_min(Key& key_out, Value& value_out, Xoroshiro128& rng,
+                  View& view) {
     mm::EbrDomain::Guard guard;
     for (unsigned round = 0; round < kMaxRounds; ++round) {
-      ArrayT* array = published_.load(std::memory_order_acquire);
-      if (!array || array->count == 0) return false;
-      // Fault injection: hold the snapshot before claiming so a concurrent
-      // insert_batch can retire the array under our feet (EBR must protect).
-      CPQ_INJECT("slsm.delete_min");
-      if (try_claim_from_pivot(*array, key_out, value_out, rng)) return true;
-      // Pivot range drained: recompute from the current heads. If even the
-      // refreshed range is empty, the array holds no live items.
-      if (!refresh_pivots(*array, k_)) {
-        // Re-check that the array was not replaced underneath us before
-        // declaring emptiness.
-        if (published_.load(std::memory_order_acquire) == array) return false;
-      }
+      Candidate candidate;
+      if (!peek_candidate(view, candidate, rng)) return false;
+      if (claim_candidate(candidate, key_out, value_out)) return true;
     }
     return false;
   }
 
-  // Peek the smallest live key (strict front, not a random candidate).
-  // Racy by design; used by tests and the standalone SLSM's diagnostics.
-  bool peek_min(std::uint32_t& block_out, std::uint32_t& slot_out,
-                Key& key_out) const {
-    const ArrayT* array = published_.load(std::memory_order_acquire);
-    if (!array) return false;
-    return array->find_min(block_out, slot_out, key_out);
-  }
-
-  // A uniformly random pivot-range candidate for the k-LSM's "peek both,
-  // take the smaller" deletion (paper §B): the k-LSM compares its local
-  // minimum against this *candidate* (one of the k+1 smallest SLSM items),
-  // which is what yields the composed kP bound. The caller must hold an EBR
-  // guard across peek and claim; the candidate pins (array, block, slot).
-  struct Candidate {
-    ArrayT* array = nullptr;
-    std::uint32_t block = 0;
-    std::uint32_t slot = 0;
-    Key key{};
-  };
-
-  bool peek_random_candidate(Candidate& out, Xoroshiro128& rng) {
+  // A uniformly random live slot of the view's ranges: one of the k+1
+  // smallest SLSM items. The k-LSM compares its local minimum against this
+  // candidate (paper §B), which is what yields the composed kP bound.
+  bool peek_candidate(View& view, Candidate& out, Xoroshiro128& rng) {
     for (unsigned round = 0; round < kMaxRounds; ++round) {
       ArrayT* array = published_.load(std::memory_order_acquire);
       if (!array || array->count == 0) return false;
-      std::uint64_t total = 0;
-      std::uint32_t starts[ArrayT::kMaxBlocks];
-      std::uint32_t ends[ArrayT::kMaxBlocks];
-      for (std::uint32_t i = 0; i < array->count; ++i) {
-        const std::uint32_t first = array->blocks[i]->first_live();
-        const std::uint32_t end =
-            array->pivot_end[i].load(std::memory_order_acquire);
-        starts[i] = first;
-        ends[i] = end > first ? end : first;
-        total += ends[i] - starts[i];
+      // Fault injection: hold the snapshot so a concurrent insert can
+      // retire the array under our feet (EBR must protect).
+      CPQ_INJECT("slsm.delete_min");
+      // A drained view is reread first: another handle may have refreshed
+      // the ranges since it was loaded.
+      if (view.array != array || view.publication != array->publication ||
+          view.total == 0) {
+        load_view(view, *array);
       }
-      if (total == 0) {
-        if (!refresh_pivots(*array, k_) &&
-            published_.load(std::memory_order_acquire) == array) {
+      if (view.total == 0) {
+        // The array's ranges are drained too: recompute them from the
+        // current heads. If the array holds no live item and is still the
+        // published one, the SLSM is empty.
+        const bool any = array->compute_pivots(k_);
+        load_view(view, *array);
+        if (!any && published_.load(std::memory_order_acquire) == array) {
           return false;
         }
-        continue;
       }
-      std::uint64_t pick = rng.next_below(total);
-      for (std::uint32_t i = 0; i < array->count; ++i) {
-        const std::uint64_t span = ends[i] - starts[i];
-        if (pick >= span) {
-          pick -= span;
-          continue;
+      while (view.total > 0) {
+        std::uint64_t pick = rng.next_below(view.total);
+        std::uint32_t i = 0;
+        while (pick >= view.end[i] - view.start[i]) {
+          pick -= view.end[i] - view.start[i];
+          ++i;
         }
-        // Scan forward from the picked slot, wrapping to the range start
-        // (starts[i] is the first *live* slot, so a wrap finds a candidate
-        // unless a racing deleter claimed the whole range meanwhile).
-        const BlockT& block = *array->blocks[i];
-        const std::uint32_t from =
-            starts[i] + static_cast<std::uint32_t>(pick);
-        for (const auto& [lo, hi] : wrapped_range(starts[i], from, ends[i])) {
-          const std::uint32_t s = block.next_live(lo, hi);
-          if (s < hi) {
-            out.array = array;
-            out.block = i;
-            out.slot = s;
-            out.key = block.slot(s).key;
-            return true;
-          }
+        if (probe(view, *array, i, static_cast<std::uint32_t>(pick), out)) {
+          return true;
         }
-        break;  // whole range drained; re-snapshot
+        // Range i drained: drop it from the view.
+        view.total -= view.end[i] - view.start[i];
+        view.start[i] = view.end[i];
       }
     }
     return false;
@@ -194,8 +257,8 @@ class Slsm {
                        Value& value_out) {
     BlockT& block = *candidate.array->blocks[candidate.block];
     if (!block.claim(candidate.slot)) return false;
-    key_out = block.slot(candidate.slot).key;
-    value_out = block.slot(candidate.slot).value;
+    key_out = block.slot(candidate.slot).first;
+    value_out = block.slot(candidate.slot).second;
     return true;
   }
 
@@ -204,143 +267,180 @@ class Slsm {
     return array ? array->live_estimate() : 0;
   }
 
-  // Current published array (EBR guard required). Exposed for the k-LSM's
-  // combined deletion and for whitebox tests.
+  // Current published array (EBR guard required). Exposed for whitebox
+  // tests.
   ArrayT* current_array() const {
     return published_.load(std::memory_order_acquire);
   }
 
  private:
   static constexpr unsigned kMaxRounds = 16;
-  static constexpr unsigned kClaimProbes = 8;
+  static constexpr std::uint32_t kNoCollision = ArrayT::kMaxBlocks;
 
-  // A candidate range [start, end) probed from `from`: first [from, end),
-  // then the wrap-around [start, from).
-  using Span = std::pair<std::uint32_t, std::uint32_t>;
-  static std::array<Span, 2> wrapped_range(std::uint32_t start,
-                                           std::uint32_t from,
-                                           std::uint32_t end) noexcept {
-    return {Span{from, end}, Span{start, from}};
-  }
-
-  static void merge_cascade(ArrayT& array) {
-    // Reused merge scratch: the cascade runs under the insert lock but the
-    // buffer is thread-local, so capacity survives across cascades and the
-    // steady-state merge allocates only the pooled result block.
-    thread_local std::vector<std::pair<Key, Value>> merged_items;
-    while (array.count >= 2) {
-      BlockT* last = array.blocks[array.count - 1];
-      BlockT* prev = array.blocks[array.count - 2];
-      if (prev->capacity() > last->capacity()) break;
-      claim_merge_into(*prev, *last, merged_items);
-      prev->unref();
-      last->unref();
-      array.count -= 2;
-      if (!merged_items.empty()) {
-        array.blocks[array.count++] = BlockT::create(
-            merged_items.data(),
-            static_cast<std::uint32_t>(merged_items.size()));
-      }
-    }
-  }
-
-  // Locate the (up to) k+1 smallest *live* items by a multi-way merge over
-  // the blocks' live cursors and set each block's pivot_end just past the
-  // last live item it contributed. The resulting ranges contain exactly the
-  // k+1 smallest live items (plus claimed holes, which deletion probes skip
-  // harmlessly), so the "one of the k+1 smallest" guarantee is exact even
-  // with heavy key duplication, and the range always exposes a live
-  // candidate while any exists. Returns false iff the array is drained.
-  //
-  // Claims racing with the computation only remove items, which can only
-  // shrink the set the range denotes — a stale pivot therefore never
-  // violates the bound (DESIGN.md §4).
-  static bool compute_pivots(ArrayT& array, std::uint64_t k) {
-    std::uint32_t cursor[ArrayT::kMaxBlocks];
-    std::uint32_t end[ArrayT::kMaxBlocks];
+  // Copy the array's candidate ranges into the view, each from its block's
+  // first live slot to its published end; a block without a range is not
+  // read. A range found drained here stays empty.
+  static void load_view(View& view, const ArrayT& array) {
+    view.array = &array;
+    view.publication = array.publication;
+    view.total = 0;
     for (std::uint32_t i = 0; i < array.count; ++i) {
-      cursor[i] = array.blocks[i]->first_live();
-      end[i] = cursor[i];
+      const std::uint32_t end =
+          array.pivot_end[i].load(std::memory_order_acquire);
+      const std::uint32_t start =
+          end == 0 ? 0 : std::min(array.blocks[i]->first_live(), end);
+      view.start[i] = start;
+      view.end[i] = end;
+      view.total += end - start;
     }
-    bool any = false;
-    for (std::uint64_t picked = 0; picked <= k; ++picked) {
-      // Select the block whose cursor holds the smallest live key.
-      std::uint32_t best_block = ArrayT::kMaxBlocks;
-      Key best_key{};
-      for (std::uint32_t i = 0; i < array.count; ++i) {
-        const BlockT& block = *array.blocks[i];
-        // Advance this block's cursor over claimed holes, a word at a time.
-        const std::uint32_t c = block.next_live(cursor[i], block.slot_count());
-        cursor[i] = c;
-        if (c >= block.slot_count()) continue;
-        const Key key = block.slot(c).key;
-        if (best_block == ArrayT::kMaxBlocks || key < best_key) {
-          best_block = i;
-          best_key = key;
-        }
-      }
-      if (best_block == ArrayT::kMaxBlocks) break;  // fewer than k+1 live
-      end[best_block] = cursor[best_block] + 1;
-      ++cursor[best_block];
-      any = true;
-    }
-    for (std::uint32_t i = 0; i < array.count; ++i) {
-      array.pivot_end[i].store(end[i], std::memory_order_release);
-    }
-    return any;
   }
 
-  static bool refresh_pivots(ArrayT& array, std::uint64_t k) {
-    return compute_pivots(array, k);
+  // The first live slot of range i from offset `pick`, wrapping to the
+  // range start; a live slot found after the wrap also moves the cached
+  // start past the claimed slots in front of it.
+  static bool probe(View& view, ArrayT& array, std::uint32_t i,
+                    std::uint32_t pick, Candidate& out) {
+    const BlockT& block = *array.blocks[i];
+    const std::uint32_t start = view.start[i];
+    const std::uint32_t from = start + pick;
+    std::uint32_t s = block.next_live(from, view.end[i]);
+    if (s == view.end[i]) {
+      s = block.next_live(start, from);
+      if (s == from) return false;
+    }
+    if (s < from || pick == 0) {
+      view.total -= s - start;
+      view.start[i] = s;
+    }
+    out.array = &array;
+    out.block = i;
+    out.slot = s;
+    out.key = block.slot(s).first;
+    return true;
   }
 
-  bool try_claim_from_pivot(ArrayT& array, Key& key_out, Value& value_out,
-                            Xoroshiro128& rng) {
-    for (unsigned probe = 0; probe < kClaimProbes; ++probe) {
-      // Total candidate count across blocks (racy snapshot).
-      std::uint64_t total = 0;
-      std::uint32_t starts[ArrayT::kMaxBlocks];
-      std::uint32_t ends[ArrayT::kMaxBlocks];
-      for (std::uint32_t i = 0; i < array.count; ++i) {
-        const std::uint32_t first = array.blocks[i]->first_live();
-        const std::uint32_t end =
-            array.pivot_end[i].load(std::memory_order_acquire);
-        starts[i] = first;
-        ends[i] = end > first ? end : first;
-        total += ends[i] - starts[i];
+  // Publish `fresh` and run the merge cascade, each merge copied outside
+  // the lock (see the header comment).
+  void publish_fresh(BlockT* fresh) {
+    thread_local CopyMerge<Key, Value> merge;
+    std::unique_lock<Spinlock> lock(insert_lock_.value);
+    ArrayT* next = carry_over(fresh, lock);
+    for (;;) {
+      const std::uint32_t i = find_collision(*next);
+      if (i == kNoCollision) {
+        ArrayT* old_array = publish(next);
+        lock.unlock();
+        retire(old_array);
+        return;
       }
-      if (total == 0) return false;
-      std::uint64_t pick = rng.next_below(total);
-      for (std::uint32_t i = 0; i < array.count; ++i) {
-        const std::uint64_t span = ends[i] - starts[i];
-        if (pick >= span) {
-          pick -= span;
-          continue;
-        }
-        BlockT& block = *array.blocks[i];
-        // Claim the live slots of the candidate range from the picked slot,
-        // wrapping to the range start (which first_live() guarantees was
-        // live); claimed holes are skipped word by word, not claimed again.
-        const std::uint32_t from =
-            starts[i] + static_cast<std::uint32_t>(pick);
-        for (const auto& [lo, hi] : wrapped_range(starts[i], from, ends[i])) {
-          for (std::uint32_t s = block.next_live(lo, hi); s < hi;
-               s = block.next_live(s + 1, hi)) {
-            if (block.claim(s)) {
-              key_out = block.slot(s).key;
-              value_out = block.slot(s).value;
-              return true;
-            }
-          }
-        }
-        break;  // whole range drained; re-snapshot
+      BlockT* a = next->blocks[i];
+      BlockT* b = next->blocks[i + 1];
+      a->set_reserved();
+      b->set_reserved();
+      // The merge's own references, dropped after the splice.
+      a->ref();
+      b->ref();
+      ArrayT* old_array = publish(next);
+      lock.unlock();
+      retire(old_array);
+      merge.copy(*a, *b);
+      // Fault injection: stretch the window in which deleters claim from
+      // the copied pair and other inserters publish around it (or hold the
+      // merge here, FaultAction::kHold).
+      CPQ_INJECT("slsm.merge_copy");
+      lock.lock();
+      next = carry(a, b, merge.claim());
+      a->unref();
+      b->unref();
+    }
+  }
+
+  // The published array's blocks plus `fresh`. A reserved pair stays until
+  // its splice, so while merges are in flight blocks may share a capacity
+  // and the array may fill; each splice frees an entry, so a full array
+  // waits outside the lock for one. With no merge in flight capacities
+  // strictly decrease (every publication without a reservation found no
+  // collision), and 33 distinct power-of-two capacities fit in kMaxBlocks.
+  ArrayT* carry_over(BlockT* fresh, std::unique_lock<Spinlock>& lock) {
+    for (;;) {
+      ArrayT* next = carry();
+      if (next->count < ArrayT::kMaxBlocks) {
+        next->blocks[next->count++] = fresh;
+        return next;
+      }
+      ArrayT::destroy(next);
+      lock.unlock();
+      std::this_thread::yield();
+      lock.lock();
+    }
+  }
+
+  // A new array with the published one's blocks minus drained unreserved
+  // ones and, at a splice, the reserved pair (a, b) replaced by `merged`
+  // (dropped when nullptr). The pair is still adjacent: reserved blocks are
+  // never dropped or merged by others, and inserts only append.
+  ArrayT* carry(const BlockT* a = nullptr, const BlockT* b = nullptr,
+                BlockT* merged = nullptr) {
+    ArrayT* next = ArrayT::create();
+    const ArrayT* from = published_.load(std::memory_order_relaxed);
+    for (std::uint32_t i = 0; from != nullptr && i < from->count; ++i) {
+      BlockT* block = from->blocks[i];
+      if (block == a) {
+        assert(i + 1 < from->count && from->blocks[i + 1] == b);
+        (void)b;
+        ++i;
+        if (merged != nullptr) next->blocks[next->count++] = merged;
+        continue;
+      }
+      if (!block->reserved() && block->first_live() >= block->slot_count()) {
+        continue;
+      }
+      block->ref();
+      next->blocks[next->count++] = block;
+    }
+    return next;
+  }
+
+  // The adjacent unreserved pair nearest the tail whose older block is no
+  // larger than the newer one, as its first index, or kNoCollision. With no
+  // merge in flight this is the classic cascade: the tail pair first.
+  static std::uint32_t find_collision(const ArrayT& array) {
+    for (std::uint32_t i = array.count; i-- > 1;) {
+      const BlockT& prev = *array.blocks[i - 1];
+      const BlockT& last = *array.blocks[i];
+      if (!prev.reserved() && !last.reserved() &&
+          prev.capacity() <= last.capacity()) {
+        return i - 1;
       }
     }
-    return false;
+    return kNoCollision;
+  }
+
+  // Number, compute the pivots of and publish `next`; returns the array it
+  // replaced. Insert lock held.
+  ArrayT* publish(ArrayT* next) {
+    next->publication = ++publications_;
+    next->compute_pivots(k_);
+    // Fault injection: delay publication — deleters keep hammering the old
+    // array while the replacement (holding the same blocks) is in flight.
+    CPQ_INJECT("slsm.publish");
+    ArrayT* old_array = published_.load(std::memory_order_relaxed);
+    published_.store(next, std::memory_order_release);
+    return old_array;
+  }
+
+  // Hand a replaced array to EBR, outside the insert lock: a retirement may
+  // free a whole generation of arrays.
+  static void retire(ArrayT* old_array) {
+    if (old_array == nullptr) return;
+    mm::EbrDomain::Guard guard;
+    mm::EbrDomain::global().retire(static_cast<void*>(old_array),
+                                   &ArrayT::ebr_deleter);
   }
 
   const std::uint64_t k_;
   CacheAligned<Spinlock> insert_lock_;
+  std::uint64_t publications_ = 0;  // insert lock held
   std::atomic<ArrayT*> published_{nullptr};
 };
 

@@ -136,12 +136,13 @@ class SlsmQueue {
     void insert(Key key, Value value) { queue_->slsm_.insert(key, value); }
 
     bool delete_min(Key& key_out, Value& value_out) {
-      return queue_->slsm_.delete_min(key_out, value_out, rng_);
+      return queue_->slsm_.delete_min(key_out, value_out, rng_, view_);
     }
 
    private:
     SlsmQueue* queue_;
     Xoroshiro128 rng_;
+    typename SlsmT::View view_;
   };
 
   Handle get_handle(unsigned thread_id) { return Handle(*this, thread_id); }

@@ -54,8 +54,11 @@ namespace cpq::validation {
 // failure paths can be regression-tested deterministically. kThrow is a
 // test-only mode: it must only be enabled around code that is exception-safe
 // at the injected sites (e.g. single-threaded prefill through a throwing
-// test queue), never under noexcept worker loops.
-enum class FaultAction : std::uint8_t { kDelay = 0, kThrow = 1 };
+// test queue), never under noexcept worker loops. kHold parks the crossing
+// thread until fault_injection_release() lets it go or the next configure()
+// call releases every parked thread, so a test can hold an operation at one
+// seam (ppm 1'000'000 and a site filter naming it) while it drives others.
+enum class FaultAction : std::uint8_t { kDelay = 0, kThrow = 1, kHold = 2 };
 
 struct InjectedFault : std::runtime_error {
   explicit InjectedFault(const char* site)
@@ -73,6 +76,9 @@ struct InjectionState {
   // Bumped by configure(); threads reseed their stream on the next crossing.
   std::atomic<std::uint64_t> generation{1};
   std::atomic<std::uint64_t> fired{0};
+  // kHold: threads parked now, and releases not yet taken by one.
+  std::atomic<std::uint32_t> held{0};
+  std::atomic<std::uint32_t> releases{0};
 };
 
 // A copy of `filter` that lives until exit and stays reachable: every
@@ -129,12 +135,23 @@ inline void fault_injection_configure(std::uint32_t ppm, std::uint64_t seed,
           : nullptr,
       std::memory_order_release);
   state.ppm.store(ppm, std::memory_order_relaxed);
+  state.releases.store(0, std::memory_order_relaxed);
   state.generation.fetch_add(1, std::memory_order_acq_rel);
 }
 
 // Total delays injected process-wide (tests assert the hooks actually ran).
 inline std::uint64_t fault_injections_fired() {
   return injection_state().fired.load(std::memory_order_relaxed);
+}
+
+// kHold: the number of threads parked at a hook now.
+inline std::uint32_t fault_injection_held() {
+  return injection_state().held.load(std::memory_order_acquire);
+}
+
+// kHold: let `n` parked (or future) crossings go on.
+inline void fault_injection_release(std::uint32_t n) {
+  injection_state().releases.fetch_add(n, std::memory_order_acq_rel);
 }
 
 namespace detail {
@@ -195,9 +212,25 @@ inline void inject_point(const char* site) {
   }
   if (stream.rng.next_below(1'000'000) >= ppm) return;
   state.fired.fetch_add(1, std::memory_order_relaxed);
-  if (state.action.load(std::memory_order_relaxed) ==
-      static_cast<std::uint8_t>(FaultAction::kThrow)) {
-    throw InjectedFault(site);
+  const auto action =
+      static_cast<FaultAction>(state.action.load(std::memory_order_relaxed));
+  if (action == FaultAction::kThrow) throw InjectedFault(site);
+  if (action == FaultAction::kHold) {
+    state.held.fetch_add(1, std::memory_order_acq_rel);
+    for (;;) {
+      std::uint32_t releases = state.releases.load(std::memory_order_acquire);
+      if (releases > 0 &&
+          state.releases.compare_exchange_weak(releases, releases - 1,
+                                               std::memory_order_acq_rel)) {
+        break;
+      }
+      if (state.generation.load(std::memory_order_acquire) != generation) {
+        break;
+      }
+      std::this_thread::yield();
+    }
+    state.held.fetch_sub(1, std::memory_order_acq_rel);
+    return;
   }
   switch (stream.rng.next_below(3)) {
     case 0:

@@ -1,8 +1,10 @@
 // Component tests for the k-LSM internals: Block claim semantics, its
-// packed claim words and claim-merge exactly-once behaviour, BlockArray
-// minimum search, the ThreadLocalLsm (DLSM) as a sequential LSM (structural
-// rules, multiset model) and under concurrent spy stealing, and the SLSM's
-// pivot-range relaxation guarantee.
+// packed claim words and the copy-merge-claim routine's exactly-once
+// behaviour, BlockArray minimum search and pivot selection, the
+// ThreadLocalLsm (DLSM) as a sequential LSM (structural rules, multiset
+// model) and under concurrent spy stealing, and the SLSM's pivot-range
+// relaxation guarantee, its handles' cached views and its merges outside
+// the insert lock.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@ using K = std::uint64_t;
 using V = std::uint64_t;
 using BlockT = Block<K, V>;
 using ArrayT = BlockArray<K, V>;
+using SlsmArrayT = SlsmArray<K, V>;
 
 std::vector<std::pair<K, V>> make_items(std::initializer_list<K> keys) {
   std::vector<std::pair<K, V>> items;
@@ -36,12 +39,32 @@ std::vector<std::pair<K, V>> make_items(std::initializer_list<K> keys) {
   return items;
 }
 
+// The live items of a block, in slot order.
+std::vector<std::pair<K, V>> live_items(const BlockT& block) {
+  std::vector<std::pair<K, V>> out;
+  const std::uint32_t n = block.slot_count();
+  for (std::uint32_t s = block.next_live(0, n); s < n;
+       s = block.next_live(s + 1, n)) {
+    out.push_back(block.slot(s));
+  }
+  return out;
+}
+
+// The live items copy_merge_claim leaves in the merged block (released).
+std::vector<std::pair<K, V>> merge_blocks(BlockT& a, BlockT& b) {
+  BlockT* merged = copy_merge_claim(a, b);
+  if (merged == nullptr) return {};
+  std::vector<std::pair<K, V>> items = live_items(*merged);
+  merged->unref();
+  return items;
+}
+
 TEST(Block, CreateAndInspect) {
   BlockT* block = BlockT::create(make_items({1, 3, 5, 9}));
   EXPECT_EQ(block->slot_count(), 4u);
   EXPECT_EQ(block->capacity(), 4u);
   EXPECT_EQ(block->first_live(), 0u);
-  EXPECT_EQ(block->slot(2).key, 5u);
+  EXPECT_EQ(block->slot(2).first, 5u);
   block->unref();
 }
 
@@ -89,7 +112,7 @@ TEST(Block, ConcurrentClaimExactlyOnce) {
 TEST(Block, ClaimMergeKeepsSortedOrderAndMovesEverything) {
   BlockT* a = BlockT::create(make_items({1, 4, 7}));
   BlockT* b = BlockT::create(make_items({2, 4, 9, 12}));
-  auto merged = claim_merge(*a, *b);
+  auto merged = merge_blocks(*a, *b);
   ASSERT_EQ(merged.size(), 7u);
   EXPECT_TRUE(std::is_sorted(merged.begin(), merged.end(),
                              [](const auto& x, const auto& y) {
@@ -106,7 +129,7 @@ TEST(Block, ClaimMergeSkipsAlreadyClaimed) {
   BlockT* a = BlockT::create(make_items({1, 4, 7}));
   BlockT* b = BlockT::create(make_items({2, 9}));
   ASSERT_TRUE(a->claim(1));  // key 4 gone
-  auto merged = claim_merge(*a, *b);
+  auto merged = merge_blocks(*a, *b);
   std::vector<K> keys;
   for (auto& [k, v] : merged) keys.push_back(k);
   EXPECT_EQ(keys, (std::vector<K>{1, 2, 7, 9}));
@@ -129,14 +152,14 @@ TEST(Block, ConcurrentMergeAndClaimDeliverExactlyOnce) {
     std::vector<V> stolen_a, stolen_b;
     run_team(3, [&](unsigned tid) {
       if (tid == 0) {
-        merged = claim_merge(*a, *b);
+        merged = merge_blocks(*a, *b);
       } else if (tid == 1) {
         for (std::uint32_t i = 0; i < n; ++i) {
-          if (a->claim(i)) stolen_a.push_back(a->slot(i).value);
+          if (a->claim(i)) stolen_a.push_back(a->slot(i).second);
         }
       } else {
         for (std::uint32_t i = 0; i < n; ++i) {
-          if (b->claim(i)) stolen_b.push_back(b->slot(i).value);
+          if (b->claim(i)) stolen_b.push_back(b->slot(i).second);
         }
       }
     });
@@ -150,6 +173,91 @@ TEST(Block, ConcurrentMergeAndClaimDeliverExactlyOnce) {
     for (V v : stolen_a) account(v);
     for (V v : stolen_b) account(v);
     ASSERT_EQ(total, 2 * n);
+    a->unref();
+    b->unref();
+  }
+}
+
+// The two phases with claims in between, on heavily duplicated keys: the
+// items claimed after the copy are exactly the merged block's claimed
+// slots, and every item is owned once — claimed before the copy, claimed
+// in between, or live in the merged block, which is sorted with ties
+// taking the first block's items first.
+TEST(Block, CopyMergeMarksItemsClaimedSinceTheCopy) {
+  Xoroshiro128 rng(0xC0B1);
+  CopyMerge<K, V> merge;
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    const K key_range = 1 + rng.next_below(6);
+    std::vector<std::pair<K, V>> ia, ib;
+    const std::uint64_t na = rng.next_below(200);
+    const std::uint64_t nb = 1 + rng.next_below(200);
+    for (std::uint64_t i = 0; i < na; ++i) {
+      ia.emplace_back(rng.next_below(key_range), 0);
+    }
+    for (std::uint64_t i = 0; i < nb; ++i) {
+      ib.emplace_back(rng.next_below(key_range), 0);
+    }
+    std::sort(ia.begin(), ia.end());
+    std::sort(ib.begin(), ib.end());
+    // Values in merge order of the sources: a's items 1000+i, b's 5000+i.
+    for (std::uint64_t i = 0; i < na; ++i) ia[i].second = 1000 + i;
+    for (std::uint64_t i = 0; i < nb; ++i) ib[i].second = 5000 + i;
+    BlockT* a = BlockT::create(ia.data(), static_cast<std::uint32_t>(na));
+    BlockT* b = BlockT::create(ib.data(), static_cast<std::uint32_t>(nb));
+    std::set<V> before, between;
+    // Holes before the copy sit mostly at the front, as deleters leave them.
+    const std::uint64_t hole_pct = rng.next_below(100);
+    for (BlockT* block : {a, b}) {
+      const std::uint32_t front = static_cast<std::uint32_t>(
+          rng.next_below(block->slot_count() + 1));
+      for (std::uint32_t s = 0; s < block->slot_count(); ++s) {
+        const bool hole = s < front ? rng.next_below(100) < hole_pct
+                                    : rng.next_below(100) < 3;
+        if (hole && block->claim(s)) before.insert(block->slot(s).second);
+      }
+    }
+    merge.copy(*a, *b);
+    const std::uint64_t lost_pct = rng.next_below(100);
+    for (BlockT* block : {a, b}) {
+      for (std::uint32_t s = 0; s < block->slot_count(); ++s) {
+        if (rng.next_below(100) < lost_pct && block->claim(s)) {
+          between.insert(block->slot(s).second);
+        }
+      }
+    }
+    BlockT* merged = merge.claim();
+    EXPECT_EQ(a->first_live(), a->slot_count());
+    EXPECT_EQ(b->first_live(), b->slot_count());
+    std::set<V> live, marked;
+    if (merged != nullptr) {
+      ASSERT_EQ(merged->slot_count(), na + nb - before.size());
+      for (std::uint32_t s = 0; s < merged->slot_count(); ++s) {
+        if (s > 0) {
+          const auto& prev = merged->slot(s - 1);
+          const auto& cur = merged->slot(s);
+          ASSERT_TRUE(prev.first < cur.first ||
+                      (prev.first == cur.first && prev.second < cur.second))
+              << "slot " << s << " out of merge order";
+        }
+      }
+      for (const auto& item : live_items(*merged)) live.insert(item.second);
+      for (std::uint32_t s = 0; s < merged->slot_count(); ++s) {
+        if (live.count(merged->slot(s).second) == 0) {
+          marked.insert(merged->slot(s).second);
+        }
+      }
+      merged->unref();
+      EXPECT_EQ(marked, between);
+    } else {
+      // Nothing copied stayed live: the block is not handed out at all.
+      EXPECT_EQ(between.size() + before.size(), na + nb);
+    }
+    std::set<V> all = before;
+    for (const std::set<V>* part : {&between, &live}) {
+      for (V v : *part) EXPECT_TRUE(all.insert(v).second) << v << " twice";
+    }
+    EXPECT_EQ(all.size(), na + nb);
     a->unref();
     b->unref();
   }
@@ -273,7 +381,7 @@ TEST(BlockClaimWords, DrainRacingBitClaimsDeliversExactlyOnce) {
       for (std::uint32_t j = 0; j < n; ++j) {
         const std::uint32_t i = tid == 1 ? j : n - 1 - j;
         if (i % 3 != tid - 1 && block->claim(i)) {
-          claimed[tid - 1].push_back(block->slot(i).value);
+          claimed[tid - 1].push_back(block->slot(i).second);
         }
       }
     });
@@ -296,10 +404,11 @@ TEST(BlockClaimWords, DrainRacingBitClaimsDeliversExactlyOnce) {
 
 // ---- merge kernels (merge_kernel.hpp) ------------------------------------
 //
-// The branch-free kernel must be a byte-for-byte substitute for the scalar
-// oracle: same output, same stable tie-break (ties take from the first
-// run). claim_merge edge cases ride along since it now feeds the
-// kernels via drain-then-merge.
+// merge_runs must be a byte-for-byte substitute for the scalar oracle:
+// same output, same stable tie-break (ties take from the first run), for
+// plain arrays and for runs split into two pieces anywhere.
+// Edge cases of the cascade's copy-merge-claim routine ride along since it
+// feeds merge_runs.
 
 using Item = std::pair<K, V>;
 
@@ -312,11 +421,13 @@ std::vector<Item> run_kernel_scalar(const std::vector<Item>& a,
   return out;
 }
 
-std::vector<Item> run_kernel_branchfree(const std::vector<Item>& a,
+// merge_runs over one-piece runs.
+std::vector<Item> run_merge_runs(const std::vector<Item>& a,
                                         const std::vector<Item>& b) {
   std::vector<Item> out(a.size() + b.size());
-  const std::size_t n = merge_sorted_branchfree(a.data(), a.size(), b.data(),
-                                                b.size(), out.data());
+  const std::size_t n =
+      merge_runs<Item>({a.data(), a.size(), nullptr, 0},
+                       {b.data(), b.size(), nullptr, 0}, out.data());
   EXPECT_EQ(n, out.size());
   return out;
 }
@@ -324,9 +435,9 @@ std::vector<Item> run_kernel_branchfree(const std::vector<Item>& a,
 TEST(MergeKernel, EmptyInputs) {
   const std::vector<Item> empty;
   const std::vector<Item> some = make_items({1, 2, 3});
-  EXPECT_TRUE(run_kernel_branchfree(empty, empty).empty());
-  EXPECT_EQ(run_kernel_branchfree(some, empty), some);
-  EXPECT_EQ(run_kernel_branchfree(empty, some), some);
+  EXPECT_TRUE(run_merge_runs(empty, empty).empty());
+  EXPECT_EQ(run_merge_runs(some, empty), some);
+  EXPECT_EQ(run_merge_runs(empty, some), some);
 }
 
 TEST(MergeKernel, StableOnDuplicateKeys) {
@@ -337,10 +448,10 @@ TEST(MergeKernel, StableOnDuplicateKeys) {
   const std::vector<Item> expected{{5, 1}, {5, 2}, {5, 100},
                                    {6, 101}, {7, 3}, {7, 102}};
   EXPECT_EQ(run_kernel_scalar(a, b), expected);
-  EXPECT_EQ(run_kernel_branchfree(a, b), expected);
+  EXPECT_EQ(run_merge_runs(a, b), expected);
 }
 
-// Randomized equivalence: the branch-free kernel and the dispatcher must
+// Randomized equivalence: merge_runs over one-piece and two-piece runs must
 // reproduce the scalar oracle exactly, including heavily duplicated keys
 // and skewed run lengths.
 TEST(MergeKernel, FastKernelsMatchScalarOracleFuzz) {
@@ -360,14 +471,18 @@ TEST(MergeKernel, FastKernelsMatchScalarOracleFuzz) {
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     const auto oracle = run_kernel_scalar(a, b);
-    EXPECT_EQ(run_kernel_branchfree(a, b), oracle);
-    const auto dispatched = [&] {
-      std::vector<Item> out(na + nb);
-      EXPECT_EQ(
-          merge_sorted(a.data(), na, b.data(), nb, out.data()), na + nb);
-      return out;
-    }();
-    EXPECT_EQ(dispatched, oracle);
+    EXPECT_EQ(run_merge_runs(a, b), oracle);
+    // The same runs, each split into a separate head and an in-place tail.
+    const std::size_t ha = rng.next_below(na + 1);
+    const std::size_t hb = rng.next_below(nb + 1);
+    const std::vector<Item> head_a(a.begin(), a.begin() + ha);
+    const std::vector<Item> head_b(b.begin(), b.begin() + hb);
+    std::vector<Item> out(na + nb);
+    using Pieces = klsm_detail::Run<Item>;  // gtest's Test::Run hides Run
+    const Pieces run_a{head_a.data(), ha, a.data() + ha, na - ha};
+    const Pieces run_b{head_b.data(), hb, b.data() + hb, nb - hb};
+    EXPECT_EQ(merge_runs(run_a, run_b, out.data()), na + nb);
+    EXPECT_EQ(out, oracle);
   }
 }
 
@@ -376,26 +491,26 @@ TEST(MergeKernel, ClaimMergeBothBlocksEmptyAfterClaims) {
   BlockT* b = BlockT::create(make_items({3}));
   for (std::uint32_t i = 0; i < a->slot_count(); ++i) ASSERT_TRUE(a->claim(i));
   for (std::uint32_t i = 0; i < b->slot_count(); ++i) ASSERT_TRUE(b->claim(i));
-  auto merged = claim_merge(*a, *b);
-  EXPECT_TRUE(merged.empty());
+  EXPECT_EQ(copy_merge_claim(*a, *b), nullptr);
   a->unref();
   b->unref();
 }
 
 TEST(MergeKernel, ClaimMergeExactSizeNoOverAllocation) {
-  // The old path reserved live_estimate(a) + live_estimate(b), which counts
-  // already-claimed slots; the drain-then-merge path must size the result
-  // exactly to what it actually claimed.
+  // live_estimate(a) + live_estimate(b) counts already-claimed slots; the
+  // merged block must hold exactly the items live when it was copied.
   BlockT* a = BlockT::create(make_items({1, 2, 3, 4, 5, 6, 7, 8}));
   BlockT* b = BlockT::create(make_items({10, 11, 12, 13}));
   for (std::uint32_t i = 2; i < 8; ++i) ASSERT_TRUE(a->claim(i));
   ASSERT_TRUE(b->claim(0));
-  auto merged = claim_merge(*a, *b);
-  ASSERT_EQ(merged.size(), 5u);  // {1, 2} + {11, 12, 13}
-  EXPECT_EQ(merged.capacity(), merged.size());
+  BlockT* merged = copy_merge_claim(*a, *b);
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->slot_count(), 5u);  // {1, 2} + {11, 12, 13}
+  EXPECT_EQ(merged->capacity(), 8u);
   std::vector<K> keys;
-  for (auto& [k, v] : merged) keys.push_back(k);
+  for (auto& [k, v] : live_items(*merged)) keys.push_back(k);
   EXPECT_EQ(keys, (std::vector<K>{1, 2, 11, 12, 13}));
+  merged->unref();
   a->unref();
   b->unref();
 }
@@ -407,17 +522,17 @@ TEST(MergeKernel, ClaimMergeStabilityAcrossBlocks) {
   std::vector<Item> ib{{5, 100}, {5, 101}};
   BlockT* a = BlockT::create(std::move(ia));
   BlockT* b = BlockT::create(std::move(ib));
-  auto merged = claim_merge(*a, *b);
+  auto merged = merge_blocks(*a, *b);
   const std::vector<Item> expected{{5, 0}, {5, 1}, {5, 100}, {5, 101}};
   EXPECT_EQ(merged, expected);
   a->unref();
   b->unref();
 }
 
-// The kernel-backed claim_merge against racing claimants under fault
-// injection pressure (block.claim / block.drain seams widened when compiled
-// with CPQ_FAULT_INJECTION; plain build exercises the same race window):
-// exactly-once delivery must hold regardless of which kernel ran.
+// The copy-merge-claim routine against racing claimants under fault
+// injection pressure (the block.claim seam widened when compiled with
+// CPQ_FAULT_INJECTION; plain build exercises the same race window):
+// exactly-once delivery must hold whichever side wins each slot.
 TEST(MergeKernel, ConcurrentKernelMergeConservesUnderRacingClaims) {
   for (int round = 0; round < 10; ++round) {
     constexpr std::uint32_t n = 1024;
@@ -433,11 +548,11 @@ TEST(MergeKernel, ConcurrentKernelMergeConservesUnderRacingClaims) {
     std::vector<V> stolen;
     run_team(2, [&](unsigned tid) {
       if (tid == 0) {
-        merged = claim_merge(*a, *b);
+        merged = merge_blocks(*a, *b);
       } else {
         for (std::uint32_t i = 0; i < n; i += 3) {
-          if (a->claim(i)) stolen.push_back(a->slot(i).value);
-          if (b->claim(i)) stolen.push_back(b->slot(i).value);
+          if (a->claim(i)) stolen.push_back(a->slot(i).second);
+          if (b->claim(i)) stolen.push_back(b->slot(i).second);
         }
       }
     });
@@ -483,7 +598,7 @@ TEST(BlockArray, RefcountSharingAcrossArrays) {
   b->blocks[b->count++] = shared;
   ArrayT::destroy(a);
   // Block must still be alive through b.
-  EXPECT_EQ(shared->slot(1).key, 2u);
+  EXPECT_EQ(shared->slot(1).first, 2u);
   ArrayT::destroy(b);
 }
 
@@ -563,7 +678,7 @@ TEST(Dlsm, ExtractLargestBlockRemovesItsItems) {
              << "capacities not descending at block " << i;
     }
     for (std::uint32_t s = 1; s < block.slot_count(); ++s) {
-      if (block.slot(s).key < block.slot(s - 1).key) {
+      if (block.slot(s).first < block.slot(s - 1).first) {
         return ::testing::AssertionFailure()
                << "block " << i << " unsorted at slot " << s;
       }
@@ -984,10 +1099,11 @@ TEST_P(SlsmRelaxation, DeleteMinStaysWithinKPlusOneSmallest) {
     model.insert(key);
   }
   Xoroshiro128 del_rng(17);
+  Slsm<K, V>::View view;
   for (int i = 0; i < 2500; ++i) {
     K key;
     V value;
-    ASSERT_TRUE(slsm.delete_min(key, value, del_rng));
+    ASSERT_TRUE(slsm.delete_min(key, value, del_rng, view));
     // The returned key must be among the k+1 smallest of the current model.
     auto bound = model.begin();
     std::advance(bound, std::min<std::size_t>(k, model.size() - 1));
@@ -1006,11 +1122,12 @@ TEST(Slsm, DrainsCompletely) {
   Xoroshiro128 rng(21);
   for (int i = 0; i < 2000; ++i) slsm.insert(rng.next_below(50), i);
   Xoroshiro128 del_rng(5);
+  Slsm<K, V>::View view;
   std::set<V> seen;
   K key;
   V value;
   std::size_t drained = 0;
-  while (slsm.delete_min(key, value, del_rng)) {
+  while (slsm.delete_min(key, value, del_rng, view)) {
     EXPECT_TRUE(seen.insert(value).second);
     ++drained;
   }
@@ -1028,9 +1145,10 @@ TEST(Slsm, BatchInsertMergesCascade) {
   }
   EXPECT_EQ(slsm.live_estimate(), 20u * 32u);
   Xoroshiro128 rng(1);
+  Slsm<K, V>::View view;
   K key;
   V value;
-  ASSERT_TRUE(slsm.delete_min(key, value, rng));
+  ASSERT_TRUE(slsm.delete_min(key, value, rng, view));
   EXPECT_LE(key, 16u);  // one of the 17 smallest keys (0..16)
 }
 
@@ -1041,7 +1159,7 @@ TEST(Slsm, PivotsSkipClaimedSlotsAcrossWords) {
   constexpr std::uint64_t k = 4;
   Slsm<K, V> slsm(k);
   slsm.insert_batch(sequential_items(300));
-  ArrayT* array = slsm.current_array();
+  SlsmArrayT* array = slsm.current_array();
   ASSERT_EQ(array->count, 1u);
   EXPECT_EQ(array->pivot_end[0].load(), k + 1);
   const std::set<K> smallest_live = {64, 129, 191, 192, 193};
@@ -1059,11 +1177,12 @@ TEST(Slsm, PivotsSkipClaimedSlotsAcrossWords) {
   // The range holds exactly the k+1 smallest live items, so the next k+1
   // deletions return them, in some order.
   Xoroshiro128 rng(7);
+  Slsm<K, V>::View view;
   std::set<K> got;
   for (std::uint64_t i = 0; i <= k; ++i) {
     K key;
     V value;
-    ASSERT_TRUE(slsm.delete_min(key, value, rng));
+    ASSERT_TRUE(slsm.delete_min(key, value, rng, view));
     EXPECT_EQ(value, 1000 + key);
     got.insert(key);
   }
@@ -1077,19 +1196,23 @@ TEST(Slsm, ConcurrentInsertDeleteExactlyOnce) {
   std::vector<std::vector<V>> deleted(threads);
   run_team(threads, [&](unsigned tid) {
     Xoroshiro128 rng(tid + 31);
+    Slsm<K, V>::View view;
     for (std::uint64_t i = 0; i < per_thread; ++i) {
       slsm.insert(rng.next_below(100000), (static_cast<V>(tid) << 32) | i);
       K key;
       V value;
-      if (slsm.delete_min(key, value, rng)) deleted[tid].push_back(value);
+      if (slsm.delete_min(key, value, rng, view)) {
+        deleted[tid].push_back(value);
+      }
     }
   });
   // Drain the remainder.
   Xoroshiro128 rng(999);
+  Slsm<K, V>::View view;
   K key;
   V value;
   std::vector<V> rest;
-  while (slsm.delete_min(key, value, rng)) rest.push_back(value);
+  while (slsm.delete_min(key, value, rng, view)) rest.push_back(value);
   std::set<V> all;
   std::size_t total = 0;
   for (const auto& per : deleted) {
@@ -1103,6 +1226,211 @@ TEST(Slsm, ConcurrentInsertDeleteExactlyOnce) {
     ++total;
   }
   EXPECT_EQ(total, threads * per_thread);
+}
+
+// ---- SLSM pivots, views and merges outside the insert lock ----------------
+
+// The full-rescan pivot selection compute_pivots replaced: every pick walks
+// every block's cursor again, (k+1)*B claim-word reads. A block with no
+// pick gets end 0, no range.
+std::vector<std::uint32_t> reference_pivots(const SlsmArrayT& array,
+                                            std::uint64_t k) {
+  std::vector<std::uint32_t> cursor(array.count);
+  std::vector<std::uint32_t> end(array.count, 0);
+  for (std::uint32_t i = 0; i < array.count; ++i) {
+    cursor[i] = array.blocks[i]->first_live();
+  }
+  for (std::uint64_t picked = 0; picked <= k; ++picked) {
+    std::uint32_t best = array.count;
+    K best_key{};
+    for (std::uint32_t i = 0; i < array.count; ++i) {
+      const BlockT& block = *array.blocks[i];
+      cursor[i] = block.next_live(cursor[i], block.slot_count());
+      if (cursor[i] >= block.slot_count()) continue;
+      if (best == array.count || block.slot(cursor[i]).first < best_key) {
+        best = i;
+        best_key = block.slot(cursor[i]).first;
+      }
+    }
+    if (best == array.count) break;
+    end[best] = cursor[best] + 1;
+    ++cursor[best];
+  }
+  return end;
+}
+
+TEST(BlockArray, PivotsMatchFullRescanReference) {
+  Xoroshiro128 rng(0x9170);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE(round);
+    SlsmArrayT* array = SlsmArrayT::create();
+    // Half the rounds draw keys from at most 8 values: duplicates across
+    // and within blocks decide the tie rule.
+    const K key_range = 1 + rng.next_below(rng.next_below(2) == 0 ? 8 : 1000);
+    const std::uint64_t blocks = 1 + rng.next_below(12);
+    bool live = false;
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      const std::uint64_t n = 1 + rng.next_below(300);
+      std::vector<std::pair<K, V>> items;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        items.emplace_back(rng.next_below(key_range), i);
+      }
+      std::sort(items.begin(), items.end());
+      BlockT* block = BlockT::create(std::move(items));
+      const std::uint64_t hole_pct =
+          rng.next_below(4) == 0 ? 100 : rng.next_below(90);
+      for (std::uint32_t s = 0; s < block->slot_count(); ++s) {
+        if (rng.next_below(100) < hole_pct) {
+          ASSERT_TRUE(block->claim(s));
+        }
+      }
+      live = live || block->first_live() < block->slot_count();
+      array->blocks[array->count++] = block;
+    }
+    const std::uint64_t k =
+        rng.next_below(3) == 0 ? rng.next_below(4) : rng.next_below(400);
+    const std::vector<std::uint32_t> expected = reference_pivots(*array, k);
+    EXPECT_EQ(array->compute_pivots(k), live);
+    for (std::uint32_t i = 0; i < array->count; ++i) {
+      EXPECT_EQ(array->pivot_end[i].load(), expected[i]) << "block " << i;
+    }
+    SlsmArrayT::destroy(array);
+  }
+}
+
+// Every candidate `view` yields now is among the k+1 smallest live keys.
+::testing::AssertionResult candidates_within_bound(Slsm<K, V>& slsm,
+                                                   Slsm<K, V>::View& view,
+                                                   Xoroshiro128& rng) {
+  mm::EbrDomain::Guard guard;
+  const SlsmArrayT* array = slsm.current_array();
+  std::vector<K> live;
+  for (std::uint32_t i = 0; i < array->count; ++i) {
+    for (const auto& item : live_items(*array->blocks[i])) {
+      live.push_back(item.first);
+    }
+  }
+  std::sort(live.begin(), live.end());
+  const K bound = live.at(std::min<std::size_t>(slsm.relaxation(),
+                                                live.size() - 1));
+  for (int peek = 0; peek < 32; ++peek) {
+    Slsm<K, V>::Candidate candidate;
+    if (!slsm.peek_candidate(view, candidate, rng)) {
+      return ::testing::AssertionFailure()
+             << "no candidate with " << live.size() << " items live";
+    }
+    if (bound < candidate.key) {
+      return ::testing::AssertionFailure()
+             << "candidate " << candidate.key << " is not among the "
+             << slsm.relaxation() + 1 << " smallest (bound " << bound << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<std::pair<K, V>> key_range_items(K from, K to) {
+  std::vector<std::pair<K, V>> items;
+  for (K key = from; key < to; ++key) items.emplace_back(key, key);
+  return items;
+}
+
+// One handle's view stays a window onto the k+1 smallest live items while
+// another handle claims from the same ranges, after that handle's refresh
+// recomputes the array's pivots, and after a republish — also when the
+// allocator places the new array at the viewed one's address, which only
+// the publication number tells apart.
+TEST(SlsmView, CandidateStaysWithinKPlusOneSmallest) {
+  constexpr std::uint64_t k = 1;
+  Slsm<K, V> slsm(k);
+  Slsm<K, V>::View mine;
+  Slsm<K, V>::View other;
+  Xoroshiro128 rng(0x71E3);
+  slsm.insert_batch(key_range_items(100, 200));
+  ASSERT_TRUE(candidates_within_bound(slsm, mine, rng));
+  K key;
+  V value;
+  ASSERT_TRUE(slsm.delete_min(key, value, rng, other));
+  ASSERT_TRUE(candidates_within_bound(slsm, mine, rng)) << "after a claim";
+  // Seven claims drain `other`'s ranges of k+1 items three times over.
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(slsm.delete_min(key, value, rng, other));
+  }
+  ASSERT_TRUE(candidates_within_bound(slsm, mine, rng)) << "after a refresh";
+  // Retire and free the viewed array, then publish two more: [100.., 500..]
+  // and [100.., 500.., 0 1], no merge in either (capacities 128, 4, 2).
+  const SlsmArrayT* viewed = slsm.current_array();
+  mm::EbrDomain::global().drain();
+  slsm.insert_batch(key_range_items(500, 504));
+  mm::EbrDomain::global().drain();
+  slsm.insert_batch(key_range_items(0, 2));
+  const bool reused = slsm.current_array() == viewed;
+  ASSERT_TRUE(candidates_within_bound(slsm, mine, rng))
+      << "after a republish" << (reused ? " at the viewed address" : "");
+}
+
+// Inserters merge outside the insert lock while deleters claim from the
+// pairs being copied: keys from {0..3} put every block's front among the
+// candidates and equal keys on both sides of every merged pair, and half
+// the batches are single items, so reserved blocks drain while other
+// inserters publish. The slsm.merge_copy seam widens the copy window in a
+// fault-injection build. Every item must come out exactly once.
+TEST(SlsmMerge, DeletersRacingOutOfLockMergesGetEachItemOnce) {
+  constexpr unsigned kInserters = 2;
+  constexpr unsigned kDeleters = 2;
+  constexpr std::uint64_t kBatches = 2000;
+  for (std::uint64_t round = 0; round < 6; ++round) {
+    SCOPED_TRACE(round);
+    Slsm<K, V> slsm(16);
+    std::atomic<unsigned> inserting{kInserters};
+    std::atomic<std::uint64_t> inserted{0};
+    std::vector<std::vector<V>> got(kDeleters);
+    run_team(kInserters + kDeleters, [&](unsigned tid) {
+      Xoroshiro128 rng(thread_seed(0x5150 + round, tid));
+      if (tid < kInserters) {
+        std::vector<std::pair<K, V>> batch;
+        for (std::uint64_t b = 0; b < kBatches; ++b) {
+          batch.clear();
+          const std::uint64_t n =
+              1 + (rng.next_below(2) == 0 ? 0 : rng.next_below(48));
+          for (std::uint64_t i = 0; i < n; ++i) {
+            batch.emplace_back(rng.next_below(4),
+                               (V{tid} << 40) | (b << 8) | i);
+          }
+          std::sort(batch.begin(), batch.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first < y.first;
+                    });
+          inserted.fetch_add(n, std::memory_order_relaxed);
+          slsm.insert_batch(std::move(batch));
+        }
+        inserting.fetch_sub(1, std::memory_order_release);
+        return;
+      }
+      Slsm<K, V>::View view;
+      K key;
+      V value;
+      while (inserting.load(std::memory_order_acquire) > 0) {
+        if (slsm.delete_min(key, value, rng, view)) {
+          got[tid - kInserters].push_back(value);
+        }
+      }
+    });
+    Xoroshiro128 rng(round);
+    Slsm<K, V>::View view;
+    K key;
+    V value;
+    std::vector<V> rest;
+    while (slsm.delete_min(key, value, rng, view)) rest.push_back(value);
+    std::set<V> all;
+    std::size_t total = 0;
+    for (const std::vector<V>* part : {&got[0], &got[1], &rest}) {
+      for (V v : *part) {
+        EXPECT_TRUE(all.insert(v).second) << "value " << v << " twice";
+        ++total;
+      }
+    }
+    ASSERT_EQ(total, inserted.load()) << "items lost or duplicated";
+  }
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 // per-repetition try block, before any worker thread exists.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +20,7 @@
 #include <mutex>
 #include <queue>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -166,6 +169,31 @@ TEST(FaultActionTest, DelayActionDoesNotThrow) {
   EXPECT_TRUE(handle.delete_min(key, value));
   EXPECT_GE(validation::fault_injections_fired(), before + 2);
   fault_injection_configure(0, 42);
+}
+
+TEST(FaultActionTest, HoldActionParksUntilReleased) {
+  fault_injection_configure(1'000'000, 42, FaultAction::kHold, "mini.insert");
+  MiniQueue queue;
+  std::atomic<int> inserted{0};
+  const auto insert = [&queue, &inserted] {
+    auto handle = queue.get_handle(0);
+    handle.insert(1, 1);
+    inserted.fetch_add(1);
+  };
+  std::thread first(insert);
+  while (validation::fault_injection_held() < 1) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(inserted.load(), 0) << "a held crossing went on unreleased";
+  validation::fault_injection_release(1);
+  first.join();
+  EXPECT_EQ(inserted.load(), 1);
+  // Reconfiguring lets every parked crossing go.
+  std::thread second(insert);
+  while (validation::fault_injection_held() < 1) std::this_thread::yield();
+  fault_injection_configure(0, 42);
+  second.join();
+  EXPECT_EQ(inserted.load(), 2);
+  EXPECT_EQ(validation::fault_injection_held(), 0u);
 }
 
 TEST(AllFailedCellTest, RunThroughputReportsFailure) {

@@ -23,6 +23,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_framework/harness.hpp"
@@ -350,12 +351,13 @@ TEST_F(EngMqTortureTest, InjectedLockAndBufferSeamsStayConservative) {
       << "mq_eng.* injection seams compiled in but never crossed";
 }
 
-// ---- k-LSM merge path: drain-then-merge kernel and pooled blocks ---------
+// ---- k-LSM merge path: copy-merge-claim and pooled blocks ---------------
 
 // The typed suite covers the k-LSM under uniform injection; this fixture
 // focuses every firing on the merge path's own seams — block.claim /
-// block.drain (the claim-move transfer the new kernel path drives),
-// slsm.publish / dlsm.publish (array replacement while merges run),
+// block.drain (the claim-move transfers), slsm.merge_copy (a merge copied
+// outside the SLSM insert lock), slsm.publish / dlsm.publish (array
+// replacement while merges run),
 // arena.alloc (the pooled block storage), and the DLSM staging word's
 // dlsm.stage / dlsm.flush_claim / dlsm.steal — at a 5% rate, the same
 // targeted pattern EngMqTortureTest uses for the buffer seams.
@@ -454,6 +456,100 @@ TEST_F(KLsmTortureTest, InjectedDlsmStagingSeamsStayConservative) {
     EXPECT_GT(validation::fault_injections_fired(), before)
         << seam << " seam compiled in but never crossed";
   }
+}
+
+// SLSM merges copy outside the insert lock: slsm.merge_copy stretches the
+// window between a reserved pair's copy and its splice, so deleters claim
+// from the pair and other inserters publish around it.
+TEST_F(KLsmTortureTest, InjectedMergeCopySeamStaysConservative) {
+  validation::fault_injection_configure(/*ppm=*/50'000, /*seed=*/0x7058,
+                                        validation::FaultAction::kDelay,
+                                        "slsm.merge_copy");
+  const std::uint64_t before = validation::fault_injections_fired();
+  contended_mix<KLsmQueue<K, V>>(0x7059, /*relaxation=*/16);
+  contended_mix<SlsmQueue<K, V>>(0x705A, /*relaxation=*/16);
+  EXPECT_GT(validation::fault_injections_fired(), before)
+      << "slsm.merge_copy seam compiled in but never crossed";
+}
+
+// While merges are in flight the SLSM's array can fill: a reserved pair is
+// carried until its splice, and the blocks after it restart the capacities
+// from the top. Five merges held at slsm.merge_copy, each behind a run of
+// blocks of 128 down to 2 slots, fill all 48 entries; one more insert must
+// wait outside the lock until a splice frees an entry, publish after it,
+// and every item must come out once.
+TEST_F(KLsmTortureTest, FullSlsmArrayWaitsForASplice) {
+  using SlsmT = klsm_detail::Slsm<K, V>;
+  constexpr std::uint32_t kMaxBlocks =
+      klsm_detail::SlsmArray<K, V>::kMaxBlocks;
+  validation::fault_injection_configure(1'000'000, 0x7060,
+                                        validation::FaultAction::kHold,
+                                        "slsm.merge_copy");
+  SlsmT slsm(16);
+  V next = 0;
+  const auto batch = [&next](std::uint32_t n) {
+    std::vector<std::pair<K, V>> items;
+    for (std::uint32_t i = 0; i < n; ++i, ++next) items.emplace_back(next, next);
+    return items;
+  };
+  const auto array_count = [&slsm] {
+    mm::EbrDomain::Guard guard;
+    return slsm.current_array()->count;
+  };
+  std::vector<std::thread> threads;
+  struct ReleaseAll {
+    std::vector<std::thread>& threads;
+    ~ReleaseAll() {
+      validation::fault_injection_configure(0, 42);
+      for (std::thread& thread : threads) thread.join();
+    }
+  } release{threads};
+  for (std::uint32_t run = 0; run < 5; ++run) {
+    for (std::uint32_t n = 128; n >= 1; n /= 2) slsm.insert_batch(batch(n));
+    // A second one-slot block collides with the first: its inserter
+    // reserves and publishes the pair, copies it and is held.
+    const std::pair<K, V> one = batch(1)[0];
+    threads.emplace_back([&slsm, one] { slsm.insert(one.first, one.second); });
+    while (validation::fault_injection_held() < run + 1) {
+      std::this_thread::yield();
+    }
+  }
+  for (std::uint32_t n = 128; n >= 32; n /= 2) slsm.insert_batch(batch(n));
+  ASSERT_EQ(array_count(), kMaxBlocks);
+
+  std::atomic<bool> inserted{false};
+  threads.emplace_back([&slsm, &inserted, items = batch(16)]() mutable {
+    slsm.insert_batch(std::move(items));
+    inserted = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(inserted.load()) << "an insert into a full array returned";
+  EXPECT_EQ(array_count(), kMaxBlocks);
+
+  // One splice frees an entry; that merger's next cascade step is held.
+  validation::fault_injection_release(1);
+  for (int ms = 0; ms < 10'000 && !inserted.load(); ++ms) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(inserted.load()) << "the waiting insert never published";
+  EXPECT_LE(array_count(), kMaxBlocks);
+
+  validation::fault_injection_configure(0, 42);
+  for (std::thread& thread : threads) thread.join();
+  threads.clear();
+  Xoroshiro128 rng(0xF011);
+  SlsmT::View view;
+  std::vector<bool> seen(next, false);
+  std::uint64_t delivered = 0;
+  K key;
+  V value;
+  while (slsm.delete_min(key, value, rng, view)) {
+    ASSERT_LT(value, next);
+    EXPECT_FALSE(seen[value]) << "value " << value << " twice";
+    seen[value] = true;
+    ++delivered;
+  }
+  EXPECT_EQ(delivered, next) << "items lost";
 }
 
 TEST_F(KLsmTortureTest, StandaloneComponentsUnderMergeSeamInjection) {
