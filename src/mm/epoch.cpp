@@ -1,6 +1,8 @@
 #include "mm/epoch.hpp"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -47,9 +49,15 @@ class FlagLock {
   std::atomic_flag& flag_;
 };
 
+[[noreturn]] void fail(const char* why) {
+  std::fprintf(stderr, "cpq::mm::EbrDomain: %s\n", why);
+  std::abort();
+}
+
 }  // namespace
 
-// Per-thread cache of (domain -> participant slot), released at thread exit.
+// Every (domain -> participant) mapping of this thread, released at thread
+// exit. EbrDomain::cache_ holds the most recently used one.
 struct EbrThreadSlot {
   struct Entry {
     EbrDomain* domain;
@@ -68,7 +76,18 @@ struct EbrThreadSlot {
     return nullptr;
   }
 
-  ~EbrThreadSlot() {
+  ~EbrThreadSlot();
+};
+
+namespace {
+thread_local EbrThreadSlot tls_slot;
+// Set once this thread's participants are released: a later Guard (from a
+// thread_local destructor that runs after tls_slot's) has nothing to pin.
+thread_local bool tls_released = false;
+}  // namespace
+
+EbrThreadSlot::~EbrThreadSlot() {
+  {
     std::lock_guard<std::mutex> lock(live_domains_mutex());
     for (auto& [domain, instance_id, participant] : slots) {
       const auto it = live_domains().find(domain);
@@ -85,15 +104,13 @@ struct EbrThreadSlot {
       }
       participant->nesting = 0;
       participant->retires_since_advance = 0;
-      participant->local_epoch.store(~std::uint64_t{0},
+      participant->local_epoch.store(EbrDomain::kQuiescent,
                                      std::memory_order_release);
       participant->registered.store(false, std::memory_order_release);
     }
   }
-};
-
-namespace {
-thread_local EbrThreadSlot tls_slot;
+  EbrDomain::cache_ = {};
+  tls_released = true;
 }
 
 EbrDomain& EbrDomain::global() {
@@ -119,56 +136,28 @@ EbrDomain::~EbrDomain() {
   for (auto& generation : orphans_) free_generation(generation);
 }
 
-EbrDomain::Participant* EbrDomain::self() {
-  if (Participant* cached = tls_slot.find(this, instance_id_)) return cached;
-  for (auto& candidate : participants_) {
+EbrDomain::Participant* EbrDomain::lookup() {
+  if (tls_released) {
+    fail("guard after this thread's participants were released");
+  }
+  Participant* found = tls_slot.find(this, instance_id_);
+  for (unsigned i = 0; found == nullptr && i < kMaxParticipants; ++i) {
+    Participant& candidate = participants_[i];
     bool expected = false;
     if (!candidate.registered.load(std::memory_order_relaxed) &&
         candidate.registered.compare_exchange_strong(
             expected, true, std::memory_order_acq_rel)) {
       tls_slot.slots.push_back({this, instance_id_, &candidate});
-      return &candidate;
+      found = &candidate;
     }
   }
-  assert(!"EbrDomain: participant slots exhausted");
-  std::abort();
+  if (found == nullptr) fail("participant slots exhausted");
+  cache_ = {this, instance_id_, found};
+  return found;
 }
-
-void EbrDomain::enter() {
-  Participant* p = self();
-  if (p->nesting++ != 0) return;
-  // Publish the observed epoch, then re-check: the store must be globally
-  // visible before we read any shared pointers, and the published value must
-  // equal the current epoch (otherwise a concurrent advance could already
-  // have freed the generation we are about to read).
-  std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
-  for (;;) {
-    p->local_epoch.store(e, std::memory_order_seq_cst);
-    // Fault injection: stall between publishing and re-checking the epoch,
-    // the window the store/re-load protocol exists to close.
-    CPQ_INJECT("ebr.enter");
-    const std::uint64_t now = global_epoch_.load(std::memory_order_seq_cst);
-    if (now == e) break;
-    e = now;
-  }
-}
-
-void EbrDomain::exit() {
-  Participant* p = self();
-  assert(p->nesting > 0);
-  if (--p->nesting == 0) {
-    p->local_epoch.store(kQuiescent, std::memory_order_release);
-  }
-}
-
-EbrDomain::Guard::Guard(EbrDomain& domain) : domain_(domain) {
-  domain_.enter();
-}
-
-EbrDomain::Guard::~Guard() { domain_.exit(); }
 
 void EbrDomain::retire(void* ptr, void (*deleter)(void*)) {
-  Participant* p = self();
+  Participant* p = participant();
   assert(p->nesting > 0 && "retire requires an active Guard");
   const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
   // Fault injection: delay filing into limbo while other threads advance.
@@ -214,8 +203,7 @@ void EbrDomain::try_advance() {
   }
   // Free this thread's own limbo generation that is at least two epochs old
   // (slot (current+1) % 3 can only hold nodes retired at epoch <= current-2).
-  Participant* p = self();
-  free_generation(p->limbo[(current + 1) % 3]);
+  free_generation(participant()->limbo[(current + 1) % 3]);
 }
 
 void EbrDomain::drain() {

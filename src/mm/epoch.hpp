@@ -15,9 +15,17 @@
 // started before the unlink).
 //
 // The domain is a process-wide singleton; participant records are
-// thread_local, registered on first use and recycled through a freelist when
-// threads exit. Orphaned limbo nodes of exited threads are adopted by the
-// next epoch advance.
+// registered on a thread's first use of a domain and recycled through a
+// freelist when the thread exits. Orphaned limbo nodes of exited threads are
+// adopted by the next epoch advance.
+//
+// A Guard enters and leaves inline. Each thread caches the participant of
+// the domain it last used, keyed by the domain's address and instance id (a
+// domain destroyed and rebuilt at the same address gets a new id), so a pin
+// is a compare, the nesting count and the epoch publish-and-recheck; only a
+// cache miss looks the participant up (or registers one) out of line. The
+// cache is cleared when the thread's participants are released at its exit,
+// and a Guard taken after that aborts instead of pinning a released slot.
 #pragma once
 
 #include <atomic>
@@ -26,6 +34,7 @@
 #include <vector>
 
 #include "platform/cache.hpp"
+#include "validation/fault_injection.hpp"
 
 namespace cpq::mm {
 
@@ -36,6 +45,8 @@ struct RetiredNode {
 };
 
 class EbrDomain {
+  struct Participant;
+
  public:
   // The process-wide domain shared by all queues.
   static EbrDomain& global();
@@ -47,7 +58,8 @@ class EbrDomain {
   EbrDomain& operator=(const EbrDomain&) = delete;
 
   // RAII critical-section pin. Re-entrant: nested guards on the same thread
-  // share one pin.
+  // share one pin. A guard keeps the participant it pinned, so guards on
+  // two domains may nest in either order.
   class Guard {
    public:
     explicit Guard(EbrDomain& domain = EbrDomain::global());
@@ -56,7 +68,7 @@ class EbrDomain {
     Guard& operator=(const Guard&) = delete;
 
    private:
-    EbrDomain& domain_;
+    Participant* const participant_;
   };
 
   // Retire a node for deferred deletion. Must be called while holding a
@@ -88,13 +100,6 @@ class EbrDomain {
   static constexpr unsigned kRetireInterval = 64;
 
  private:
-  struct Participant;
-
-  Participant* self();
-  void enter();
-  void exit();
-  void free_generation(std::vector<RetiredNode>& generation);
-
   static constexpr std::uint64_t kQuiescent = ~std::uint64_t{0};
 
   struct alignas(kCacheLineSize) Participant {
@@ -109,6 +114,47 @@ class EbrDomain {
     std::vector<RetiredNode> limbo[3];
     unsigned retires_since_advance = 0;
   };
+
+  // The calling thread's participant of the domain it last used (all null
+  // until it uses one).
+  struct ThreadCache {
+    const EbrDomain* domain;
+    std::uint64_t instance_id;
+    Participant* participant;
+  };
+  static inline thread_local ThreadCache cache_{};
+
+  // This thread's participant: the cached one, else lookup().
+  Participant* participant() {
+    const ThreadCache& cache = cache_;
+    if (cache.domain == this && cache.instance_id == instance_id_) {
+      return cache.participant;
+    }
+    return lookup();
+  }
+
+  // Find this thread's participant (registering one on first use) and cache
+  // it. Aborts once the thread's participants have been released at exit.
+  Participant* lookup();
+
+  // Publish the observed epoch, then re-check: the store must be globally
+  // visible before we read any shared pointers, and the published value
+  // must equal the current epoch (otherwise a concurrent advance could
+  // already have freed the generation we are about to read).
+  void pin(Participant& p) {
+    std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
+    for (;;) {
+      p.local_epoch.store(e, std::memory_order_seq_cst);
+      // Fault injection: stall between publishing and re-checking the
+      // epoch, the window the store/re-load protocol exists to close.
+      CPQ_INJECT("ebr.enter");
+      const std::uint64_t now = global_epoch_.load(std::memory_order_seq_cst);
+      if (now == e) break;
+      e = now;
+    }
+  }
+
+  void free_generation(std::vector<RetiredNode>& generation);
 
   // Unique per domain instance across the whole process lifetime, so that a
   // thread's cached (domain -> participant) mapping can never be satisfied
@@ -127,5 +173,16 @@ class EbrDomain {
 
   friend struct EbrThreadSlot;
 };
+
+inline EbrDomain::Guard::Guard(EbrDomain& domain)
+    : participant_(domain.participant()) {
+  if (participant_->nesting++ == 0) domain.pin(*participant_);
+}
+
+inline EbrDomain::Guard::~Guard() {
+  if (--participant_->nesting == 0) {
+    participant_->local_epoch.store(kQuiescent, std::memory_order_release);
+  }
+}
 
 }  // namespace cpq::mm

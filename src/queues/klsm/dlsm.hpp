@@ -20,6 +20,19 @@
 // Deletions from the DLSM skip at most k items per foreign thread, hence
 // k(P-1) in total; combined with the SLSM's k this yields the k-LSM's kP
 // bound (paper §B).
+//
+// The owner also keeps two plain fields no other thread touches, so the
+// k-LSM's hot path need not walk the blocks to learn what it already knows:
+//
+//   * count(): an upper bound on the live items. Inserts and re-homed spy
+//     batches add to it and the owner's own claims subtract; claims by spies
+//     and merges only make it looser. exceeds(k) walks the blocks
+//     (live_estimate()) only once the count passes k and resets the count to
+//     what the walk found, as does each overflow extraction.
+//   * below_min(key): whether a key is below a lower bound on the smallest
+//     live key. Inserts and re-homes lower the bound, each full peek resets
+//     it to the exact minimum, and claims by anyone only raise the true
+//     minimum, so a key below the bound is below every live local item.
 #pragma once
 
 #include <algorithm>
@@ -84,6 +97,7 @@ class ThreadLocalLsm {
   // ---- owner-only operations -------------------------------------------
 
   void insert(Key key, Value value) {
+    added(key, 1);
     if (staging_cursor_ == kStagingSlots) flush_staging();
     const std::uint32_t i = staging_cursor_++;
     staging_[i].key.store(key, std::memory_order_relaxed);
@@ -125,6 +139,7 @@ class ThreadLocalLsm {
   // items). The span overload lets callers keep their scratch buffer.
   void insert_sorted(const std::pair<Key, Value>* items, std::uint32_t n) {
     if (n == 0) return;
+    added(items[0].first, n);
     insert_block(BlockT::create(items, n));
   }
 
@@ -142,9 +157,11 @@ class ThreadLocalLsm {
     }
   }
 
-  // Peek the local minimum candidate (staging included) without claiming.
-  // Racy by design; claim_peeked revalidates.
-  bool peek_local_min(PeekResult& out) const {
+  // Peek the local minimum candidate (staging included) without claiming,
+  // and reset the minimum bound to it. Racy by design; claim_peeked
+  // revalidates. Only spies race the owner here, and they only take items,
+  // so the key found is at most the smallest key live once the peek ends.
+  bool peek_local_min(PeekResult& out) {
     bool found = false;
     Key best{};
     std::uint32_t block_index = 0;
@@ -171,12 +188,14 @@ class ThreadLocalLsm {
         out.key = key;
       }
     }
+    has_floor_ = found;
+    floor_ = out.key;
     return found;
   }
 
   // Claim exactly the item found by peek_local_min; fails if a racing spy,
   // merge, or flush got there first (or, for staging, if the slot was
-  // reused — the epoch in the peeked word makes that CAS fail).
+  // reused — the epoch in the peeked word makes that CAS fail). Owner only.
   bool claim_peeked(const PeekResult& peeked, Key& key_out, Value& value_out) {
     if (peeked.staged) {
       const StageSlot& slot = staging_[peeked.slot];
@@ -190,6 +209,7 @@ class ThreadLocalLsm {
       }
       key_out = key;
       value_out = value;
+      --count_;
       return true;
     }
     ArrayT* array = published_.load(std::memory_order_relaxed);
@@ -199,10 +219,30 @@ class ThreadLocalLsm {
     if (!block->claim(peeked.slot)) return false;
     key_out = block->slot(peeked.slot).first;
     value_out = block->slot(peeked.slot).second;
+    --count_;
     return true;
   }
 
-  // Upper bound on the number of live local items (staged included).
+  // Owner only: an upper bound on the live items (staged included).
+  std::uint32_t count() const noexcept { return count_; }
+
+  // Owner only: whether more than k items are live. Walks the blocks only
+  // once the owner count passes k, and resets the count to what it found.
+  bool exceeds(std::uint64_t k) {
+    if (count_ <= k) return false;
+    count_ = live_estimate();
+    return count_ > k;
+  }
+
+  // Owner only: whether `key` is below every live local item, judged by the
+  // minimum bound alone (any key is, when the last full peek found nothing
+  // and nothing was added since).
+  bool below_min(const Key& key) const noexcept {
+    return !has_floor_ || key < floor_;
+  }
+
+  // Upper bound on the number of live local items (staged included): a walk
+  // over every block's head hint plus the stage word.
   std::uint32_t live_estimate() const {
     const ArrayT* array = published_.load(std::memory_order_relaxed);
     const std::uint32_t total = array ? array->live_estimate() : 0;
@@ -212,8 +252,9 @@ class ThreadLocalLsm {
   }
 
   // Claim-extract the largest block's items (the DLSM->SLSM overflow batch)
-  // and republish without that block. Returns the sorted batch (possibly
-  // empty if racing claimants emptied the block first).
+  // and republish without that block, then reset the owner count to
+  // live_estimate(). Returns the sorted batch (possibly empty if racing
+  // claimants emptied the block first).
   std::vector<std::pair<Key, Value>> extract_largest_block() {
     std::vector<std::pair<Key, Value>> batch;
     ArrayT* array = published_.load(std::memory_order_relaxed);
@@ -232,6 +273,7 @@ class ThreadLocalLsm {
       next->blocks[next->count++] = array->blocks[i];
     }
     publish(next, array);
+    count_ = live_estimate();
     return batch;
   }
 
@@ -274,6 +316,13 @@ class ThreadLocalLsm {
   }
 
  private:
+  // The owner added n items, the smallest with key `smallest`.
+  void added(const Key& smallest, std::uint32_t n) noexcept {
+    count_ += n;
+    if (!has_floor_ || smallest < floor_) floor_ = smallest;
+    has_floor_ = true;
+  }
+
   void insert_block(BlockT* fresh) {
     ArrayT* old_array = published_.load(std::memory_order_relaxed);
     ArrayT* next = ArrayT::create();
@@ -349,6 +398,10 @@ class ThreadLocalLsm {
   StageSlot staging_[kStagingSlots];
   std::uint32_t staging_cursor_ = 0;  // owner-thread access only
   std::vector<std::pair<Key, Value>> flush_scratch_;  // owner-thread only
+  // The owner count and minimum bound (owner-thread only; header comment).
+  std::uint32_t count_ = 0;
+  Key floor_{};
+  bool has_floor_ = false;
 };
 
 }  // namespace cpq::klsm_detail

@@ -11,6 +11,13 @@
 // The relaxation parameter k is a runtime constructor argument; the paper's
 // variants are k = 128, 256, 4096 (k = 16 behaves like the strict Lindén
 // queue and is exercised by `cpq_bench_cli --preset=ablation-klsm-k`).
+//
+// Neither operation rescans what the handle's own DLSM already knows
+// (dlsm.hpp): an insert walks the DLSM for the k bound only once the owner
+// count passes k, and delete_min peeks the SLSM first and takes a candidate
+// below the DLSM's minimum bound without walking the DLSM; otherwise it
+// compares the two components as described above, so it picks the same
+// item a full comparison would.
 #pragma once
 
 #include <algorithm>
@@ -27,6 +34,42 @@
 #include "queues/queue_traits.hpp"
 
 namespace cpq {
+
+namespace klsm_detail {
+
+enum class Attempt { kTaken, kLost, kEmpty };
+
+// One delete_min attempt over a thread's DLSM and the SLSM (paper §B): claim
+// the smaller of the local minimum and a random SLSM pivot candidate, one of
+// the k+1 smallest shared items. Comparing against the *candidate* (not the
+// SLSM front) is what composes the k(P-1) local and k shared skips into the
+// kP bound. A candidate below the DLSM's minimum bound is below every local
+// item, so it is taken without peeking the DLSM. kLost: the chosen item went
+// to a racing claimant; kEmpty: both components look empty.
+template <typename Key, typename Value>
+Attempt delete_min_attempt(ThreadLocalLsm<Key, Value>& local,
+                           Slsm<Key, Value>& slsm,
+                           typename Slsm<Key, Value>::View& view,
+                           Xoroshiro128& rng, Key& key_out, Value& value_out) {
+  mm::EbrDomain::Guard guard;
+  typename Slsm<Key, Value>::Candidate candidate;
+  const bool have_shared = slsm.peek_candidate(view, candidate, rng);
+  if (!have_shared || !local.below_min(candidate.key)) {
+    typename ThreadLocalLsm<Key, Value>::PeekResult local_peek;
+    if (local.peek_local_min(local_peek) &&
+        (!have_shared || !(candidate.key < local_peek.key))) {
+      return local.claim_peeked(local_peek, key_out, value_out)
+                 ? Attempt::kTaken
+                 : Attempt::kLost;
+    }
+  }
+  if (!have_shared) return Attempt::kEmpty;
+  return slsm.claim_candidate(candidate, key_out, value_out)
+             ? Attempt::kTaken
+             : Attempt::kLost;
+}
+
+}  // namespace klsm_detail
 
 template <typename Key, typename Value>
 class KLsmQueue {
@@ -54,12 +97,14 @@ class KLsmQueue {
           tid_(thread_id % queue.max_threads_),
           rng_(thread_seed(queue.seed_, thread_id)) {}
 
+    // Overflow: move the DLSM's largest block to the SLSM until at most k
+    // items are live. One block suffices unless claims drained the largest
+    // since the DLSM last published, or a re-homed spy batch came on top.
     void insert(Key key, Value value) {
       Local& local = queue_->local(tid_);
       local.insert(key, value);
-      if (local.live_estimate() > queue_->k_) {
-        auto batch = local.extract_largest_block();
-        queue_->slsm_.insert_batch(std::move(batch));
+      while (local.exceeds(queue_->k_)) {
+        queue_->slsm_.insert_batch(local.extract_largest_block());
       }
     }
 
@@ -67,34 +112,17 @@ class KLsmQueue {
       KLsmQueue& q = *queue_;
       Local& local = q.local(tid_);
       for (unsigned round = 0; round < kMaxRounds; ++round) {
-        // Peek both components (paper §B): the local minimum and a random
-        // SLSM pivot candidate — one of the k+1 smallest shared items.
-        // Claim the smaller of the two; on a lost race, rescan. Comparing
-        // against the *candidate* (not the SLSM front) is what composes the
-        // k(P-1) local and k shared skips into the kP bound.
-        typename Local::PeekResult local_peek;
-        const bool have_local = local.peek_local_min(local_peek);
-
-        mm::EbrDomain::Guard guard;
-        typename SlsmT::Candidate candidate;
-        const bool have_shared = q.slsm_.peek_candidate(view_, candidate, rng_);
-
-        if (have_local &&
-            (!have_shared || !(candidate.key < local_peek.key))) {
-          if (local.claim_peeked(local_peek, key_out, value_out)) {
+        switch (klsm_detail::delete_min_attempt(local, q.slsm_, view_, rng_,
+                                                key_out, value_out)) {
+          case klsm_detail::Attempt::kTaken:
             return true;
-          }
-          continue;  // lost the local item to a spy or merge
+          case klsm_detail::Attempt::kLost:
+            continue;  // lost to a spy, merge or racing deleter: rescan
+          case klsm_detail::Attempt::kEmpty:
+            // Both components empty: adopt another thread's items, then
+            // give the loop one more chance before reporting emptiness.
+            if (!spy() && round > 0) return false;
         }
-        if (have_shared) {
-          if (q.slsm_.claim_candidate(candidate, key_out, value_out)) {
-            return true;
-          }
-          continue;  // candidate taken by a racing deleter
-        }
-        // Both components empty: adopt another thread's items, then give
-        // the loop one more chance before reporting emptiness.
-        if (!spy() && round > 0) return false;
       }
       return false;
     }

@@ -13,6 +13,14 @@
 // recomputes the ranges only when the reread ones are drained too, so one
 // refresh serves every handle.
 //
+// A publication carries the replaced array's ranges over instead of
+// computing new ones when every block new to the array starts at or above
+// the largest key at those ends (SlsmArray::carry_pivots): the new items are
+// then not smaller than any candidate, so the bound holds unchanged. Most
+// publications add a block of keys above the candidates, so most run no
+// pivot selection under the insert lock; the deleters recompute the carried
+// ranges once they drain, as for any drained range.
+//
 // Inserts (batches arriving from DLSM overflows) take a spinlock, but it
 // serializes publication only: every merge of the cascade copies outside
 // it. (The original k-LSM publishes without a lock; here moving an item
@@ -137,6 +145,54 @@ struct SlsmArray : BlockArray<Key, Value> {
       pivot_end[i].store(end[i], std::memory_order_release);
     }
     return any;
+  }
+
+  // Take the range ends of `from`, the array this one replaces, for every
+  // block the two share, and no range for the blocks new to this one, if
+  // each new block's live items start at or above X, the largest key at the
+  // ends just read. Such a block adds no item strictly smaller than any
+  // candidate, so every candidate keeps at most k strictly smaller live
+  // items, the k+1 guarantee. X comes from the very ends that are copied: a
+  // deleter may recompute `from`'s ranges meanwhile, and ends paired with an
+  // older threshold could reach past it. Returns false, storing nothing,
+  // when `from` has no range or a new block starts below X; the caller then
+  // computes the pivots. The shared blocks must keep from's order, as
+  // Slsm::carry() leaves them.
+  bool carry_pivots(const SlsmArray& from) noexcept {
+    std::uint32_t from_end[Base::kMaxBlocks];
+    Key x{};
+    bool any = false;
+    for (std::uint32_t j = 0; j < from.count; ++j) {
+      from_end[j] = from.pivot_end[j].load(std::memory_order_acquire);
+      if (from_end[j] == 0) continue;
+      const Key& last = from.blocks[j]->slot(from_end[j] - 1).first;
+      if (!any || x < last) x = last;
+      any = true;
+    }
+    if (!any) return false;
+    std::uint32_t end[Base::kMaxBlocks];
+    for (std::uint32_t i = 0, j = 0; i < count; ++i) {
+      std::uint32_t at = j;
+      while (at < from.count && from.blocks[at] != blocks[i]) ++at;
+      if (at < from.count) {
+        end[i] = from_end[at];
+        j = at + 1;
+        continue;
+      }
+      const Block<Key, Value>& block = *blocks[i];
+      const std::uint32_t first = block.first_live();
+      if (first < block.slot_count() && block.slot(first).first < x) {
+        return false;
+      }
+      end[i] = 0;
+    }
+    // Fault injection: hold the ends just read while deleters recompute
+    // `from`'s ranges.
+    CPQ_INJECT("slsm.carry");
+    for (std::uint32_t i = 0; i < count; ++i) {
+      pivot_end[i].store(end[i], std::memory_order_relaxed);
+    }
+    return true;
   }
 };
 
@@ -416,15 +472,18 @@ class Slsm {
     return kNoCollision;
   }
 
-  // Number, compute the pivots of and publish `next`; returns the array it
-  // replaced. Insert lock held.
+  // Number and publish `next`, with the replaced array's candidate ranges
+  // carried over when that keeps the k+1 guarantee and computed otherwise;
+  // returns the array it replaced. Insert lock held.
   ArrayT* publish(ArrayT* next) {
     next->publication = ++publications_;
-    next->compute_pivots(k_);
+    ArrayT* old_array = published_.load(std::memory_order_relaxed);
+    if (old_array == nullptr || !next->carry_pivots(*old_array)) {
+      next->compute_pivots(k_);
+    }
     // Fault injection: delay publication — deleters keep hammering the old
     // array while the replacement (holding the same blocks) is in flight.
     CPQ_INJECT("slsm.publish");
-    ArrayT* old_array = published_.load(std::memory_order_relaxed);
     published_.store(next, std::memory_order_release);
     return old_array;
   }

@@ -1,12 +1,13 @@
 // Tests for the epoch-based reclamation domain: deferred freeing, epoch
 // advancement, drain, nesting, orphan adoption, participant recycling,
-// bounded limbo lists, and a multi-threaded retire/read stress with
-// instrumented deleters.
+// bounded limbo lists, the per-thread participant cache, and a
+// multi-threaded retire/read stress with instrumented deleters.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -171,6 +172,86 @@ TEST(Ebr, UnpinnedRetiresKeepLimboBounded) {
   EXPECT_GE(g_deleted.load(), total - 3 * EbrDomain::kRetireInterval);
   domain.drain();
   EXPECT_EQ(g_deleted.load(), total);
+}
+
+// Retire a node under `guard`'s pin and try to advance the domain a few
+// times: a pinned participant holds the epoch, so the node must survive.
+::testing::AssertionResult pinned_node_survives(EbrDomain& domain) {
+  const std::uint64_t before = g_deleted.load();
+  domain.retire(new Counted(), &counted_deleter);
+  for (int i = 0; i < 4; ++i) domain.try_advance();
+  if (g_deleted.load() != before) {
+    return ::testing::AssertionFailure()
+           << "a node retired under a guard was freed: the guard pinned a "
+              "participant the domain does not scan";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(EbrCache, GuardsOnTwoDomainsPinEachDomainsOwnParticipant) {
+  EbrDomain a;
+  EbrDomain b;
+  g_deleted.store(0);
+  {
+    EbrDomain::Guard outer(a);
+    {
+      EbrDomain::Guard inner(b);
+      EXPECT_TRUE(pinned_node_survives(a));
+      EXPECT_TRUE(pinned_node_survives(b));
+    }
+    // b's guard is gone: b advances and frees its node; a is still pinned.
+    for (int i = 0; i < 4; ++i) b.try_advance();
+    EXPECT_EQ(g_deleted.load(), 1u);
+    EXPECT_TRUE(pinned_node_survives(a));
+  }
+  for (int i = 0; i < 4; ++i) a.try_advance();
+  EXPECT_EQ(g_deleted.load(), 3u);
+}
+
+TEST(EbrCache, DomainRebuiltAtTheSameAddressGetsItsOwnParticipant) {
+  // The thread's cached participant points into the first domain's slots;
+  // the second domain sits at the same address, so only the instance id
+  // tells the cached entry apart from a fresh registration.
+  constexpr std::align_val_t align{alignof(EbrDomain)};
+  void* storage = ::operator new(sizeof(EbrDomain), align);
+  auto* first = new (storage) EbrDomain();
+  { EbrDomain::Guard guard(*first); }
+  first->~EbrDomain();
+  auto* second = new (storage) EbrDomain();
+  g_deleted.store(0);
+  {
+    EbrDomain::Guard guard(*second);
+    EXPECT_TRUE(pinned_node_survives(*second));
+  }
+  second->drain();
+  EXPECT_EQ(g_deleted.load(), 1u);
+  second->~EbrDomain();
+  ::operator delete(storage, align);
+}
+
+// A thread_local built before the thread's first guard is destroyed after
+// the thread released its participants, so a guard in its destructor finds
+// the cache cleared: it must abort rather than pin the released slot, which
+// another thread may own by then.
+struct GuardAtThreadExit {
+  EbrDomain* domain = nullptr;
+  ~GuardAtThreadExit() {
+    if (domain != nullptr) EbrDomain::Guard guard(*domain);
+  }
+};
+
+TEST(EbrCacheDeathTest, ThreadExitClearsTheCachedParticipant) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        EbrDomain domain;
+        std::thread([&domain] {
+          thread_local GuardAtThreadExit late;
+          late.domain = &domain;
+          EbrDomain::Guard guard(domain);
+        }).join();
+      },
+      "participants were released");
 }
 
 // Readers traverse a published pointer while writers retire the previous

@@ -2,9 +2,10 @@
 // packed claim words and the copy-merge-claim routine's exactly-once
 // behaviour, BlockArray minimum search and pivot selection, the
 // ThreadLocalLsm (DLSM) as a sequential LSM (structural rules, multiset
-// model) and under concurrent spy stealing, and the SLSM's pivot-range
-// relaxation guarantee, its handles' cached views and its merges outside
-// the insert lock.
+// model), under concurrent spy stealing, and its owner count and minimum
+// bound, and the SLSM's pivot-range relaxation guarantee, its handles'
+// cached views, its merges outside the insert lock and the candidate ranges
+// its publications carry over.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <utility>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "platform/thread_util.hpp"
 #include "queues/klsm/block.hpp"
 #include "queues/klsm/dlsm.hpp"
+#include "queues/klsm/klsm.hpp"
 #include "queues/klsm/slsm.hpp"
 
 namespace cpq::klsm_detail {
@@ -36,6 +39,12 @@ std::vector<std::pair<K, V>> make_items(std::initializer_list<K> keys) {
   std::vector<std::pair<K, V>> items;
   V v = 0;
   for (K k : keys) items.emplace_back(k, v++);
+  return items;
+}
+
+std::vector<std::pair<K, V>> key_range_items(K from, K to) {
+  std::vector<std::pair<K, V>> items;
+  for (K key = from; key < to; ++key) items.emplace_back(key, key);
   return items;
 }
 
@@ -930,6 +939,113 @@ TEST(Dlsm, ConcurrentSpyStealsExactlyOnce) {
   }
 }
 
+// ---- DLSM owner count and minimum bound ------------------------------------
+
+// Claim-move every live item of `victim` into `out`, as a spy does.
+void spy_on(ThreadLocalLsm<K, V>& victim, std::vector<std::pair<K, V>>& out) {
+  mm::EbrDomain::Guard guard;
+  if (auto* array = victim.spy_array()) {
+    ThreadLocalLsm<K, V>::steal_all(array, out);
+  }
+  victim.steal_staging(out);
+}
+
+// The k-LSM's insert: an insert, then the overflow rule (KLsmQueue::Handle).
+void insert_with_overflow(ThreadLocalLsm<K, V>& lsm, std::uint64_t k, K key,
+                          V value, std::map<V, K>& live) {
+  lsm.insert(key, value);
+  live.emplace(value, key);
+  while (lsm.exceeds(k)) {
+    for (const auto& item : lsm.extract_largest_block()) {
+      live.erase(item.second);
+    }
+  }
+}
+
+// Random inserts (each followed by the overflow rule), own claims, spies
+// taking the DLSM's items and spied batches re-homed into it while it is
+// empty, as the k-LSM spies: the owner count never falls below the live
+// items, and no insert leaves more than k of them.
+TEST(DlsmOwnerCount, BoundsTheLiveItemsThroughSpiesAndOverflows) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE(seed);
+    constexpr std::uint64_t kRelaxations[] = {0, 1, 5, 16, 40};
+    const std::uint64_t k = kRelaxations[seed % 5];
+    ThreadLocalLsm<K, V> lsm;
+    ThreadLocalLsm<K, V> other;
+    std::map<V, K> live;        // lsm's live items, by unique value
+    std::map<V, K> other_live;  // other's
+    Xoroshiro128 rng(seed);
+    V next_value = 0;
+    std::vector<std::pair<K, V>> stolen;
+    for (int op = 0; op < 3000; ++op) {
+      const std::uint64_t r = rng.next_below(100);
+      if (r < 40) {
+        insert_with_overflow(lsm, k, rng.next_below(200), next_value++, live);
+        ASSERT_LE(live.size(), k) << "after insert " << op;
+      } else if (r < 60) {
+        K key;
+        V value;
+        const bool took = lsm.delete_local_min(key, value);
+        ASSERT_EQ(took, !live.empty());
+        if (took) {
+          ASSERT_EQ(live.erase(value), 1u);
+        }
+      } else if (r < 75) {
+        insert_with_overflow(other, k, rng.next_below(200), next_value++,
+                             other_live);
+      } else if (r < 88) {
+        stolen.clear();
+        spy_on(lsm, stolen);
+        for (const auto& item : stolen) ASSERT_EQ(live.erase(item.second), 1u);
+      } else if (live.empty()) {
+        stolen.clear();
+        spy_on(other, stolen);
+        std::sort(stolen.begin(), stolen.end());
+        lsm.insert_sorted(stolen.data(),
+                          static_cast<std::uint32_t>(stolen.size()));
+        for (const auto& item : stolen) {
+          ASSERT_EQ(other_live.erase(item.second), 1u);
+          live.emplace(item.second, item.first);
+        }
+      }
+      ASSERT_GE(lsm.count(), live.size()) << "after op " << op;
+    }
+  }
+}
+
+// One thread: the DLSM's last full peek found it empty, then a spy re-homes
+// keys below every SLSM candidate. The next deletion must take the smallest
+// of them, not a candidate the stale "empty" bound would let it take
+// without peeking the DLSM; once the DLSM is empty the candidates follow.
+TEST(DlsmMinimumBound, ReHomedKeyBelowTheSharedCandidateIsTakenFirst) {
+  ThreadLocalLsm<K, V> local;
+  ThreadLocalLsm<K, V> victim;
+  Slsm<K, V> slsm(4);
+  slsm.insert_batch(key_range_items(100, 110));
+  ThreadLocalLsm<K, V>::PeekResult peeked;
+  ASSERT_FALSE(local.peek_local_min(peeked));
+  victim.insert(6, 6);
+  victim.insert(5, 5);
+  std::vector<std::pair<K, V>> stolen;
+  spy_on(victim, stolen);
+  std::sort(stolen.begin(), stolen.end());
+  local.insert_sorted(stolen.data(), static_cast<std::uint32_t>(stolen.size()));
+  Slsm<K, V>::View view;
+  Xoroshiro128 rng(3);
+  K key;
+  V value;
+  std::vector<K> got;
+  while (delete_min_attempt(local, slsm, view, rng, key, value) ==
+         Attempt::kTaken) {
+    got.push_back(key);
+  }
+  ASSERT_EQ(got.size(), 12u);
+  EXPECT_EQ(got[0], 5u);
+  EXPECT_EQ(got[1], 6u);
+  for (std::size_t i = 2; i < got.size(); ++i) EXPECT_GE(got[i], 100u);
+}
+
 // ---- DLSM staging buffer -------------------------------------------------
 
 TEST(DlsmStaging, PeekSeesStagedMinimumBeforeAnyBlockExists) {
@@ -1154,28 +1270,41 @@ TEST(Slsm, BatchInsertMergesCascade) {
 
 // compute_pivots walks claim words to skip claimed holes: the k+1 smallest
 // live items it selects lie in different words of one block, separated by
-// whole words of claimed slots.
+// whole words of claimed slots. Checked on the selection itself, then through
+// an SLSM whose publication carries the drained range over (the new block
+// starts above it), so a deleter finds it drained and recomputes.
 TEST(Slsm, PivotsSkipClaimedSlotsAcrossWords) {
   constexpr std::uint64_t k = 4;
+  const std::set<K> smallest_live = {64, 129, 191, 192, 193};
+  const auto claim_all_but_smallest = [&](BlockT& block) {
+    for (std::uint32_t i = 0; i < 194; ++i) {
+      if (smallest_live.count(i) == 0) {
+        ASSERT_TRUE(block.claim(i));
+      }
+    }
+  };
+  SlsmArrayT* direct = SlsmArrayT::create();
+  direct->blocks[direct->count++] = BlockT::create(sequential_items(300));
+  ASSERT_TRUE(direct->compute_pivots(k));
+  EXPECT_EQ(direct->pivot_end[0].load(), k + 1);
+  claim_all_but_smallest(*direct->blocks[0]);
+  ASSERT_TRUE(direct->compute_pivots(k));
+  EXPECT_EQ(direct->pivot_end[0].load(), 194u);
+  SlsmArrayT::destroy(direct);
+
   Slsm<K, V> slsm(k);
   slsm.insert_batch(sequential_items(300));
   SlsmArrayT* array = slsm.current_array();
   ASSERT_EQ(array->count, 1u);
   EXPECT_EQ(array->pivot_end[0].load(), k + 1);
-  const std::set<K> smallest_live = {64, 129, 191, 192, 193};
-  for (std::uint32_t i = 0; i < 194; ++i) {
-    if (smallest_live.count(i) == 0) {
-      ASSERT_TRUE(array->blocks[0]->claim(i));
-    }
-  }
-  // The next publication carries the block over and recomputes the pivots.
+  claim_all_but_smallest(*array->blocks[0]);
   slsm.insert(100000, 0);
   array = slsm.current_array();
   ASSERT_EQ(array->count, 2u);
-  EXPECT_EQ(array->pivot_end[0].load(), 194u);
+  EXPECT_EQ(array->pivot_end[0].load(), k + 1) << "range not carried";
   EXPECT_EQ(array->pivot_end[1].load(), 0u);
-  // The range holds exactly the k+1 smallest live items, so the next k+1
-  // deletions return them, in some order.
+  // The range holds exactly the k+1 smallest live items once recomputed, so
+  // the next k+1 deletions return them, in some order.
   Xoroshiro128 rng(7);
   Slsm<K, V>::View view;
   std::set<K> got;
@@ -1185,6 +1314,10 @@ TEST(Slsm, PivotsSkipClaimedSlotsAcrossWords) {
     ASSERT_TRUE(slsm.delete_min(key, value, rng, view));
     EXPECT_EQ(value, 1000 + key);
     got.insert(key);
+    if (i == 0) {
+      EXPECT_EQ(array->pivot_end[0].load(), 194u);
+      EXPECT_EQ(array->pivot_end[1].load(), 0u);
+    }
   }
   EXPECT_EQ(got, smallest_live);
 }
@@ -1328,12 +1461,6 @@ TEST(BlockArray, PivotsMatchFullRescanReference) {
   return ::testing::AssertionSuccess();
 }
 
-std::vector<std::pair<K, V>> key_range_items(K from, K to) {
-  std::vector<std::pair<K, V>> items;
-  for (K key = from; key < to; ++key) items.emplace_back(key, key);
-  return items;
-}
-
 // One handle's view stays a window onto the k+1 smallest live items while
 // another handle claims from the same ranges, after that handle's refresh
 // recomputes the array's pivots, and after a republish — also when the
@@ -1430,6 +1557,241 @@ TEST(SlsmMerge, DeletersRacingOutOfLockMergesGetEachItemOnce) {
       }
     }
     ASSERT_EQ(total, inserted.load()) << "items lost or duplicated";
+  }
+}
+
+
+// ---- SLSM ranges carried across publications ------------------------------
+
+std::vector<std::uint32_t> read_ends(const SlsmArrayT& array) {
+  std::vector<std::uint32_t> ends(array.count);
+  for (std::uint32_t i = 0; i < array.count; ++i) {
+    ends[i] = array.pivot_end[i].load(std::memory_order_acquire);
+  }
+  return ends;
+}
+
+// The largest key at the range ends (X), or 0 when there is no range.
+K largest_candidate_key(const SlsmArrayT& array) {
+  K x = 0;
+  const std::vector<std::uint32_t> ends = read_ends(array);
+  for (std::uint32_t i = 0; i < array.count; ++i) {
+    if (ends[i] != 0) x = std::max(x, array.blocks[i]->slot(ends[i] - 1).first);
+  }
+  return x;
+}
+
+// Every live item below `ends` has at most k strictly smaller live items in
+// the whole array, counted by a full scan. Claims racing the scan only
+// remove items, so they cannot make a valid array fail.
+::testing::AssertionResult ranges_keep_bound(
+    const SlsmArrayT& array, const std::vector<std::uint32_t>& ends,
+    std::uint64_t k) {
+  std::vector<K> live;
+  for (std::uint32_t i = 0; i < array.count; ++i) {
+    for (const auto& item : live_items(*array.blocks[i])) {
+      live.push_back(item.first);
+    }
+  }
+  std::sort(live.begin(), live.end());
+  for (std::uint32_t i = 0; i < array.count; ++i) {
+    const BlockT& block = *array.blocks[i];
+    for (std::uint32_t s = block.next_live(0, ends[i]); s < ends[i];
+         s = block.next_live(s + 1, ends[i])) {
+      const K key = block.slot(s).first;
+      const auto smaller = static_cast<std::uint64_t>(
+          std::lower_bound(live.begin(), live.end(), key) - live.begin());
+      if (smaller > k) {
+        return ::testing::AssertionFailure()
+               << "candidate " << key << " (block " << i << ", slot " << s
+               << ") has " << smaller << " strictly smaller live items, k = "
+               << k;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+bool starts_below(const BlockT& block, K x) {
+  const std::uint32_t first = block.first_live();
+  return first < block.slot_count() && block.slot(first).first < x;
+}
+
+// Random arrays with claimed holes and duplicate keys get their ranges, lose
+// more items to claims, and are replaced by an array that keeps their blocks
+// in order (some drained ones dropped, an adjacent pair merged as at a
+// splice) and appends new blocks starting below, at or above X, the largest
+// key at the ends. The carry must decline exactly when a new block starts
+// below X, and every carried range must keep the k+1 bound.
+TEST(SlsmCarry, CarriedRangesKeepTheBoundInFuzzedArrays) {
+  Xoroshiro128 rng(0xCA77);
+  int carried = 0;
+  for (int round = 0; round < 600; ++round) {
+    SCOPED_TRACE(round);
+    const K key_range = 1 + rng.next_below(rng.next_below(2) == 0 ? 8 : 1000);
+    const std::uint64_t k =
+        rng.next_below(3) == 0 ? rng.next_below(4) : rng.next_below(100);
+    SlsmArrayT* from = SlsmArrayT::create();
+    const std::uint64_t blocks = 1 + rng.next_below(8);
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      std::vector<std::pair<K, V>> items;
+      const std::uint64_t n = 1 + rng.next_below(200);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        items.emplace_back(100 + rng.next_below(key_range), i);
+      }
+      std::sort(items.begin(), items.end());
+      BlockT* block = BlockT::create(std::move(items));
+      const std::uint64_t hole_pct =
+          rng.next_below(4) == 0 ? 100 : rng.next_below(60);
+      for (std::uint32_t s = 0; s < block->slot_count(); ++s) {
+        if (rng.next_below(100) < hole_pct) {
+          ASSERT_TRUE(block->claim(s));
+        }
+      }
+      from->blocks[from->count++] = block;
+    }
+    from->compute_pivots(k);
+    // Deleters claim more after the ranges were computed.
+    for (std::uint32_t i = 0; i < from->count; ++i) {
+      for (std::uint32_t s = 0; s < from->blocks[i]->slot_count(); ++s) {
+        if (rng.next_below(10) == 0) from->blocks[i]->claim(s);
+      }
+    }
+    const std::vector<std::uint32_t> from_ends = read_ends(*from);
+    const bool has_range =
+        std::any_of(from_ends.begin(), from_ends.end(),
+                    [](std::uint32_t end) { return end != 0; });
+    const K x = largest_candidate_key(*from);
+    SlsmArrayT* next = SlsmArrayT::create();
+    bool new_below_x = false;
+    for (std::uint32_t i = 0; i < from->count; ++i) {
+      BlockT* block = from->blocks[i];
+      if (block->first_live() >= block->slot_count() &&
+          rng.next_below(2) == 0) {
+        continue;
+      }
+      if (i + 1 < from->count && rng.next_below(5) == 0) {
+        BlockT* merged = copy_merge_claim(*block, *from->blocks[++i]);
+        if (merged != nullptr) {
+          new_below_x = new_below_x || starts_below(*merged, x);
+          next->blocks[next->count++] = merged;
+        }
+        continue;
+      }
+      block->ref();
+      next->blocks[next->count++] = block;
+    }
+    for (std::uint64_t fresh = rng.next_below(3); fresh-- > 0;) {
+      const K around = has_range ? x : 100;
+      const std::uint64_t where = rng.next_below(3);
+      K key = where == 0   ? around - 1 - rng.next_below(50)
+              : where == 1 ? around
+                           : around + 1 + rng.next_below(50);
+      std::vector<std::pair<K, V>> items;
+      for (std::uint64_t n = 1 + rng.next_below(40); n-- > 0;) {
+        items.emplace_back(key, n);
+        key += rng.next_below(3);
+      }
+      BlockT* block = BlockT::create(std::move(items));
+      new_below_x = new_below_x || starts_below(*block, x);
+      next->blocks[next->count++] = block;
+    }
+    const bool took = next->carry_pivots(*from);
+    EXPECT_EQ(took, has_range && !new_below_x);
+    if (took) {
+      ++carried;
+      EXPECT_TRUE(ranges_keep_bound(*next, read_ends(*next), k));
+    }
+    SlsmArrayT::destroy(next);
+    SlsmArrayT::destroy(from);
+  }
+  EXPECT_GT(carried, 100);
+}
+
+#if defined(CPQ_FAULT_INJECTION)
+// Delay hooks firing at `ppm` on the sites matching `filter` while in scope;
+// the previous configuration comes back afterwards.
+class ScopedInjection {
+ public:
+  ScopedInjection(std::uint32_t ppm, const char* filter)
+      : state_(validation::injection_state()),
+        ppm_(state_.ppm.load()),
+        seed_(state_.seed.load()),
+        filter_(state_.site_filter.load()) {
+    validation::fault_injection_configure(ppm, seed_,
+                                          validation::FaultAction::kDelay,
+                                          filter);
+  }
+  ~ScopedInjection() {
+    validation::fault_injection_configure(
+        ppm_, seed_, validation::FaultAction::kDelay, filter_);
+  }
+
+ private:
+  validation::InjectionState& state_;
+  const std::uint32_t ppm_;
+  const std::uint64_t seed_;
+  const char* const filter_;
+};
+#endif
+
+// A deleter recomputes the published ranges (whenever its view drains)
+// while an inserter publishes items just above X, so a carry may read ends
+// that a recomputation is rewriting over larger keys; the slsm.carry seam
+// stretches that window in a fault-injection build. A third thread keeps
+// checking the published ranges by a full scan.
+TEST(SlsmCarry, RangesCarriedWhileADeleterRecomputesKeepTheBound) {
+#if defined(CPQ_FAULT_INJECTION)
+  const ScopedInjection injection(200'000, "slsm.carry");
+#endif
+  constexpr std::uint64_t k = 4;
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    SCOPED_TRACE(round);
+    Slsm<K, V> slsm(k);
+    slsm.insert_batch(key_range_items(0, 512));
+    std::atomic<bool> inserting{true};
+    run_team(3, [&](unsigned tid) {
+      Xoroshiro128 rng(thread_seed(0xCA44 + round, tid));
+      if (tid == 0) {
+        for (V i = 0; i < 3000; ++i) {
+          K x;
+          {
+            mm::EbrDomain::Guard guard;
+            x = largest_candidate_key(*slsm.current_array());
+          }
+          slsm.insert(x + 1 + rng.next_below(2), i);
+          mm::EbrDomain::Guard guard;
+          const SlsmArrayT& array = *slsm.current_array();
+          const auto kept = ranges_keep_bound(array, read_ends(array), k);
+          if (!kept) {
+            ADD_FAILURE() << "publication " << array.publication << ": "
+                          << kept.message();
+            break;
+          }
+        }
+        inserting.store(false, std::memory_order_release);
+      } else if (tid == 1) {
+        Slsm<K, V>::View view;
+        K key;
+        V value;
+        while (inserting.load(std::memory_order_acquire)) {
+          slsm.delete_min(key, value, rng, view);
+          // Paced, so a bad range would outlive a few checker scans.
+          for (int spin = 0; spin < 256; ++spin) cpu_relax();
+        }
+      } else {
+        while (inserting.load(std::memory_order_acquire)) {
+          mm::EbrDomain::Guard guard;
+          const SlsmArrayT& array = *slsm.current_array();
+          const auto kept = ranges_keep_bound(array, read_ends(array), k);
+          if (!kept) {
+            ADD_FAILURE() << "publication " << array.publication << ": "
+                          << kept.message();
+            return;
+          }
+        }
+      }
+    });
   }
 }
 

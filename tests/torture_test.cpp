@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -550,6 +551,92 @@ TEST_F(KLsmTortureTest, FullSlsmArrayWaitsForASplice) {
     ++delivered;
   }
   EXPECT_EQ(delivered, next) << "items lost";
+}
+
+// slsm.carry stretches the window between reading the replaced array's
+// range ends and storing them in the next array, while deleters recompute
+// and claim from those ranges.
+TEST_F(KLsmTortureTest, InjectedCarrySeamStaysConservative) {
+  validation::fault_injection_configure(/*ppm=*/50'000, /*seed=*/0x7063,
+                                        validation::FaultAction::kDelay,
+                                        "slsm.carry");
+  const std::uint64_t before = validation::fault_injections_fired();
+  contended_mix<KLsmQueue<K, V>>(0x7064, /*relaxation=*/16);
+  EXPECT_GT(validation::fault_injections_fired(), before)
+      << "slsm.carry seam compiled in but never crossed";
+}
+
+// A publication that carries the ranges over reads the replaced array's
+// range ends, checks its new block against X, the largest key at them, and
+// stores them (slsm.carry between the last two). Held there while a deleter
+// recomputes those ranges over larger keys, it must store the ends it read:
+// ends paired with an older X would put the new block's key below k+1
+// candidates. The published ranges must keep the bound: every live item in
+// them has at most k strictly smaller live items, by a full scan.
+TEST_F(KLsmTortureTest, CarryHeldWhileADeleterRecomputesKeepsTheBound) {
+  using SlsmT = klsm_detail::Slsm<K, V>;
+  constexpr std::uint64_t k = 4;
+  SlsmT slsm(k);
+  std::vector<std::pair<K, V>> items;
+  for (K key = 0; key < 64; ++key) items.emplace_back(key, key);
+  slsm.insert_batch(std::move(items));
+  // Claim the k+1 candidates, keys 0..k; their ranges stay drained until a
+  // deleter recomputes them.
+  Xoroshiro128 rng(0x7062);
+  SlsmT::View view;
+  K key;
+  V value;
+  for (std::uint64_t i = 0; i <= k; ++i) {
+    ASSERT_TRUE(slsm.delete_min(key, value, rng, view));
+    ASSERT_LE(key, k);
+  }
+  validation::fault_injection_configure(1'000'000, 0x7061,
+                                        validation::FaultAction::kHold,
+                                        "slsm.carry");
+  // One item at X + 1: its block starts above X, so the ranges are carried.
+  std::thread inserter([&slsm] { slsm.insert(k + 1, 1000); });
+  struct Release {
+    std::thread& thread;
+    ~Release() {
+      validation::fault_injection_configure(0, 42);
+      if (thread.joinable()) thread.join();
+    }
+  } release{inserter};
+  while (validation::fault_injection_held() < 1) std::this_thread::yield();
+  {
+    // The deleter finds its view drained and recomputes: keys k+1..2k+1.
+    mm::EbrDomain::Guard guard;
+    SlsmT::Candidate candidate;
+    ASSERT_TRUE(slsm.peek_candidate(view, candidate, rng));
+    ASSERT_GT(candidate.key, k);
+  }
+  validation::fault_injection_configure(0, 42);
+  inserter.join();
+
+  mm::EbrDomain::Guard guard;
+  const klsm_detail::SlsmArray<K, V>& array = *slsm.current_array();
+  ASSERT_EQ(array.count, 2u);
+  std::vector<K> live;
+  for (std::uint32_t i = 0; i < array.count; ++i) {
+    const auto& block = *array.blocks[i];
+    for (std::uint32_t s = block.first_live(); s < block.slot_count();
+         s = block.next_live(s + 1, block.slot_count())) {
+      live.push_back(block.slot(s).first);
+    }
+  }
+  std::sort(live.begin(), live.end());
+  for (std::uint32_t i = 0; i < array.count; ++i) {
+    const auto& block = *array.blocks[i];
+    const std::uint32_t end = array.pivot_end[i].load();
+    for (std::uint32_t s = block.next_live(0, end); s < end;
+         s = block.next_live(s + 1, end)) {
+      const K candidate = block.slot(s).first;
+      EXPECT_LE(std::lower_bound(live.begin(), live.end(), candidate) -
+                    live.begin(),
+                static_cast<std::ptrdiff_t>(k))
+          << "candidate " << candidate << " in block " << i;
+    }
+  }
 }
 
 TEST_F(KLsmTortureTest, StandaloneComponentsUnderMergeSeamInjection) {
