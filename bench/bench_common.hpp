@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -440,32 +441,55 @@ inline bool latency_table(const std::string& label, BenchConfig cfg,
 // threads insert cfg.prefill items, then delete until the queue is drained.
 // Fixed work instead of a time window, so the insert path (where the
 // appendix says Mounds dominate) and the delete path (CBPQ's FAA tickets,
-// Lindén's prefix batching) are timed apart: one MOps/s table per phase.
-// The workload shape does not apply; only the key distribution does.
-inline void sort_table(const std::string& label, BenchConfig cfg,
+// Lindén's prefix batching) are timed apart: one MOps/s table per phase,
+// and sort_insert_mops / sort_delete_mops records per cell. The workload
+// shape does not apply; only the key distribution does. Returns false when
+// any cell failed.
+inline bool sort_table(const std::string& label, BenchConfig cfg,
                        const Options& options,
                        const std::vector<const QueueSpec*>& roster) {
   const std::string title = label + " — " + cfg.keys.name() + " keys";
   const std::vector<std::string> columns = roster_names(roster);
   Table inserts(title + " — sort insert phase [MOps/s]", "threads", columns);
   Table deletes(title + " — sort delete phase [MOps/s]", "threads", columns);
+  bool all_ok = true;
   for (unsigned threads : options.thread_ladder) {
     cfg.threads = threads;
     std::vector<std::string> insert_cells;
     std::vector<std::string> delete_cells;
+    unsigned ok_cells = 0;
     for (const QueueSpec* spec : roster) {
-      const auto [insert_mops, delete_mops] = spec->sort_phases(cfg);
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.2f", insert_mops);
-      insert_cells.emplace_back(buf);
-      std::snprintf(buf, sizeof(buf), "%.2f", delete_mops);
-      delete_cells.emplace_back(buf);
+      const SortResult result = spec->sort_phases(cfg);
+      const bool failed = result.failed();
+      for (const auto& [metric, mops, cells] :
+           {std::tuple{"sort_insert_mops", result.insert_mops, &insert_cells},
+            std::tuple{"sort_delete_mops", result.delete_mops,
+                       &delete_cells}}) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.2f", mops);
+        cells->emplace_back(failed ? kFailedCell : buf);
+        JsonSink::instance().record({title, spec->name, metric, threads, mops,
+                                     0.0, result.completed_reps,
+                                     failed ? "failed" : "ok"});
+      }
+      if (failed) {
+        all_ok = false;
+      } else {
+        ++ok_cells;
+      }
+    }
+    if (ok_cells == 0) {
+      std::fprintf(stderr,
+                   "[cpq] %s: dropping thread row %u (every cell failed)\n",
+                   label.c_str(), threads);
+      continue;
     }
     inserts.add_row(std::to_string(threads), std::move(insert_cells));
     deletes.add_row(std::to_string(threads), std::move(delete_cells));
   }
   inserts.print();
   deletes.print();
+  return all_ok;
 }
 
 // Open-loop service sweep: every roster queue driven raw and through

@@ -49,14 +49,12 @@
 //   --list                    print queues, modes and presets, then exit
 //
 // Service mode only (exit 2 with any other mode):
-//   --arrival-hz=N            offered load per producer (0 = closed loop)
 //   --checked                 wrap queues in CheckedQueue; a conservation
 //                             violation exits 1
 //   --ttl-us=N                task time-to-live, expired tasks are shed at
 //                             pop (0 = off)
-//   --max-in-flight=N         admission bound (0 = unbounded, else at least
-//                             --prefill, which is admitted before any
-//                             consumer runs)
+//   --max-in-flight=N         admission bound (0 = unbounded); also caps
+//                             --prefill, inserted before any consumer runs
 //   --policy=block|reject|tiered
 //                             admission under pressure (default block)
 //   --breaker-trip-us=N       per-shard circuit-breaker trip latency
@@ -126,9 +124,9 @@ constexpr const char* kPresetFlags[] = {
     "--telemetry-hz", "--timeseries-out", "--prom-out", "--slo"};
 
 // Flags that only configure --mode=service.
-constexpr const char* kServiceFlags[] = {"--arrival-hz", "--checked",
-                                         "--ttl-us",     "--max-in-flight",
-                                         "--policy",     "--breaker-trip-us"};
+constexpr const char* kServiceFlags[] = {"--checked", "--ttl-us",
+                                         "--max-in-flight", "--policy",
+                                         "--breaker-trip-us"};
 
 bool contains(const auto& names, const std::string& flag) {
   return std::find(std::begin(names), std::end(names), flag) !=
@@ -208,8 +206,7 @@ int usage(const char* argv0, const char* unknown) {
                "[--interleave] [--perturb-layout]\n"
                "          [--prefill=N] [--threads=1,2,4] [--ms=N] "
                "[--ops=N] [--reps=N] [--seed=N]\n"
-               "          [--arrival-hz=N] [--checked] [--ttl-us=N] "
-               "[--max-in-flight=N]\n"
+               "          [--checked] [--ttl-us=N] [--max-in-flight=N]\n"
                "          [--policy=block|reject|tiered] "
                "[--breaker-trip-us=N]\n"
                "          [--json[=path]] [--metrics] [--trace-out=FILE] "
@@ -617,10 +614,6 @@ int main(int argc, char** argv) {
       if (!parse_u64(value, options.seed)) {
         return bad_value("--seed", value, "want an unsigned integer");
       }
-    } else if (parse_flag(arg, "--arrival-hz", value)) {
-      if (!parse_double(value, scfg.arrival_hz) || scfg.arrival_hz < 0.0) {
-        return bad_value("--arrival-hz", value, "want a rate >= 0");
-      }
     } else if (parse_flag(arg, "--ttl-us", value)) {
       // The deadline arithmetic needs values below 2^63.
       if (!parse_u64(value, scfg.service.ttl_us) ||
@@ -687,16 +680,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // The prefill is admitted before any consumer runs, so a smaller
-  // admission window would block the run forever.
-  if (scfg.service.max_in_flight != 0 &&
-      scfg.service.max_in_flight < options.prefill) {
-    std::fprintf(stderr,
-                 "cpq_bench_cli: --max-in-flight=%zu is below --prefill=%zu "
-                 "(want 0 or >= the prefill)\n",
-                 scfg.service.max_in_flight, options.prefill);
-    return 2;
-  }
   if (interleave && mode != "throughput") {
     std::fprintf(stderr,
                  "cpq_bench_cli: --interleave only applies to "
@@ -758,7 +741,7 @@ int main(int argc, char** argv) {
   } else if (mode == "latency") {
     if (!latency_table("custom", cfg, options, roster)) rc = 1;
   } else if (mode == "sort") {
-    sort_table("custom", cfg, options, roster);
+    if (!sort_table("custom", cfg, options, roster)) rc = 1;
   } else {
     scfg.duration_s = options.duration_s;
     scfg.arrivals = cfg.arrivals;

@@ -17,6 +17,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -171,49 +173,61 @@ LatencyResult run_latency(Factory&& make_queue, const BenchConfig& cfg) {
 // insert their share of cfg.prefill random items (phase 1, timed), then
 // delete until the queue drains (phase 2, timed). Fixed work, not fixed
 // time, so a fast queue cannot inflate its number on a drained queue.
-// Returns {insert MOps/s, delete MOps/s} averaged over repetitions.
-template <typename Factory>
-std::pair<double, double> run_sort_phases(Factory&& make_queue,
-                                          const BenchConfig& cfg) {
-  double insert_mops = 0;
-  double delete_mops = 0;
-  for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
-    const std::uint64_t seed = cfg.seed + 7331ULL * rep;
-    auto queue = make_queue(cfg.threads, seed);
-    const std::uint64_t per_thread =
-        (cfg.prefill + cfg.threads - 1) / cfg.threads;
-    const std::uint64_t total = per_thread * cfg.threads;
+struct SortResult {
+  double insert_mops = 0.0;  // averaged over completed repetitions
+  double delete_mops = 0.0;
+  unsigned completed_reps = 0;
+  unsigned failed_reps = 0;
+  bool failed() const { return completed_reps == 0; }
+};
 
-    // Each worker records its own phase-boundary timestamps; the phase
-    // duration is max(end) - min(start) over the team. (A coordinator
-    // thread reading the clock around barrier crossings can be descheduled
-    // for a whole phase when threads outnumber cores, measuring ~0.)
-    auto now_ns = [] {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-    };
-    struct PhaseStamp {
-      std::int64_t insert_start, insert_end, delete_start, delete_end;
-    };
-    std::vector<CacheAligned<PhaseStamp>> stamps(cfg.threads);
+// One repetition: {insert MOps/s, delete MOps/s}. A worker whose operation
+// throws still crosses the barrier and ends its phases, so the team
+// finishes; the first such error is rethrown once the team has joined.
+template <typename Queue>
+std::pair<double, double> sort_rep(Queue& queue, const BenchConfig& cfg,
+                                   std::uint64_t seed) {
+  const std::uint64_t per_thread =
+      (cfg.prefill + cfg.threads - 1) / cfg.threads;
+  const std::uint64_t total = per_thread * cfg.threads;
 
-    SpinBarrier barrier(cfg.threads);
-    std::atomic<std::uint64_t> remaining{total};
-    run_team(cfg.threads, [&](unsigned tid) {
-      auto handle = queue->get_handle(tid);
-      workloads::KeyGenerator gen(cfg.keys, seed, tid);
-      barrier.arrive_and_wait();
-      stamps[tid].value.insert_start = now_ns();
+  // Each worker records its own phase-boundary timestamps; the phase
+  // duration is max(end) - min(start) over the team. (A coordinator
+  // thread reading the clock around barrier crossings can be descheduled
+  // for a whole phase when threads outnumber cores, measuring ~0.)
+  auto now_ns = [] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  };
+  struct PhaseStamp {
+    std::int64_t insert_start, insert_end, delete_start, delete_end;
+    std::exception_ptr error;
+  };
+  std::vector<CacheAligned<PhaseStamp>> stamps(cfg.threads);
+
+  SpinBarrier barrier(cfg.threads);
+  std::atomic<std::uint64_t> remaining{total};
+  run_team(cfg.threads, [&](unsigned tid) {
+    PhaseStamp& stamp = stamps[tid].value;
+    auto handle = queue.get_handle(tid);
+    workloads::KeyGenerator gen(cfg.keys, seed, tid);
+    barrier.arrive_and_wait();
+    stamp.insert_start = now_ns();
+    try {
       for (std::uint64_t i = 0; i < per_thread; ++i) {
         handle.insert(gen.next(), detail::item_id(tid, i));
       }
-      stamps[tid].value.insert_end = now_ns();
-      barrier.arrive_and_wait();
-      stamps[tid].value.delete_start = now_ns();
-      std::uint64_t key;
-      std::uint64_t value;
-      unsigned misses = 0;
+    } catch (...) {
+      stamp.error = std::current_exception();
+    }
+    stamp.insert_end = now_ns();
+    barrier.arrive_and_wait();
+    stamp.delete_start = now_ns();
+    std::uint64_t key;
+    std::uint64_t value;
+    unsigned misses = 0;
+    try {
       while (remaining.load(std::memory_order_relaxed) > 0 &&
              misses < 1024) {
         if (handle.delete_min(key, value)) {
@@ -223,25 +237,61 @@ std::pair<double, double> run_sort_phases(Factory&& make_queue,
           ++misses;
         }
       }
-      stamps[tid].value.delete_end = now_ns();
-    }, cfg.pin_threads);
-
-    std::int64_t ins_start = stamps[0].value.insert_start;
-    std::int64_t ins_end = stamps[0].value.insert_end;
-    std::int64_t del_start = stamps[0].value.delete_start;
-    std::int64_t del_end = stamps[0].value.delete_end;
-    for (unsigned tid = 1; tid < cfg.threads; ++tid) {
-      ins_start = std::min(ins_start, stamps[tid].value.insert_start);
-      ins_end = std::max(ins_end, stamps[tid].value.insert_end);
-      del_start = std::min(del_start, stamps[tid].value.delete_start);
-      del_end = std::max(del_end, stamps[tid].value.delete_end);
+    } catch (...) {
+      if (!stamp.error) stamp.error = std::current_exception();
     }
-    insert_mops += static_cast<double>(total) /
-                   static_cast<double>(ins_end - ins_start) * 1e3;
-    delete_mops += static_cast<double>(total) /
-                   static_cast<double>(del_end - del_start) * 1e3;
+    stamp.delete_end = now_ns();
+  }, cfg.pin_threads);
+
+  std::int64_t ins_start = stamps[0].value.insert_start;
+  std::int64_t ins_end = stamps[0].value.insert_end;
+  std::int64_t del_start = stamps[0].value.delete_start;
+  std::int64_t del_end = stamps[0].value.delete_end;
+  for (unsigned tid = 0; tid < cfg.threads; ++tid) {
+    if (stamps[tid].value.error) {
+      std::rethrow_exception(stamps[tid].value.error);
+    }
+    ins_start = std::min(ins_start, stamps[tid].value.insert_start);
+    ins_end = std::max(ins_end, stamps[tid].value.insert_end);
+    del_start = std::min(del_start, stamps[tid].value.delete_start);
+    del_end = std::max(del_end, stamps[tid].value.delete_end);
   }
-  return {insert_mops / cfg.repetitions, delete_mops / cfg.repetitions};
+  return {static_cast<double>(total) /
+              static_cast<double>(ins_end - ins_start) * 1e3,
+          static_cast<double>(total) /
+              static_cast<double>(del_end - del_start) * 1e3};
+}
+
+// A failed repetition (bad_alloc, a queue-reported error, in any worker) is
+// reported and skipped, mirroring run_latency; callers check failed().
+template <typename Factory>
+SortResult run_sort_phases(Factory&& make_queue, const BenchConfig& cfg) {
+  SortResult result;
+  for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
+    const std::uint64_t seed = cfg.seed + 7331ULL * rep;
+    try {
+      auto queue = make_queue(cfg.threads, seed);
+      const auto [insert_mops, delete_mops] = sort_rep(*queue, cfg, seed);
+      result.insert_mops += insert_mops;
+      result.delete_mops += delete_mops;
+      ++result.completed_reps;
+    } catch (const std::exception& e) {
+      ++result.failed_reps;
+      std::fprintf(stderr, "[cpq] %s: sort repetition %u/%u failed: %s\n",
+                   cfg.label.empty() ? "queue" : cfg.label.c_str(), rep + 1,
+                   cfg.repetitions, e.what());
+    }
+  }
+  if (result.failed()) {
+    if (cfg.repetitions > 0) {
+      std::fprintf(stderr, "[cpq] %s: every sort repetition failed\n",
+                   cfg.label.empty() ? "queue" : cfg.label.c_str());
+    }
+  } else {
+    result.insert_mops /= result.completed_reps;
+    result.delete_mops /= result.completed_reps;
+  }
+  return result;
 }
 
 }  // namespace cpq::bench

@@ -44,8 +44,8 @@ struct QueueSpec {
   std::function<LatencyResult(const BenchConfig&)> latency;
   // Larkin-Sen-Tarjan-style sort phases: all threads insert their share of
   // cfg.prefill items (timed), then delete until the queue is drained
-  // (timed). Returns {insert MOps/s, delete MOps/s}.
-  std::function<std::pair<double, double>(const BenchConfig&)> sort_phases;
+  // (timed): insert and delete MOps/s, or a failed cell.
+  std::function<SortResult(const BenchConfig&)> sort_phases;
   // Open-loop task-dispatch benchmark: the same Poisson client traffic run
   // against raw handles and through the PriorityService layer.
   std::function<ServiceComparison(const service::ServiceBenchConfig&)>

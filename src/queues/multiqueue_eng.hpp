@@ -70,8 +70,8 @@
 
 namespace cpq {
 
-// Tuning for one EngMultiQueue instance. stickiness=1 and zero buffers
-// degenerate to the classic MultiQueue's per-op redraw scheme.
+// Tuning for one EngMultiQueue instance. stickiness=1 with no buffers does
+// not replay the classic MultiQueue (del_uses_ wrap: EXPERIMENTS.md X21).
 struct MqEngConfig {
   unsigned c = 4;           // local queues per thread
   unsigned stickiness = 8;  // lock acquisitions per queue draw (>= 1)

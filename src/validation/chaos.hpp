@@ -40,6 +40,7 @@
 // CPQ_FAULT_INJECTION; without it the campaign marks them inert and says so.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
@@ -90,7 +91,7 @@ struct ChaosSchedule {
   double arrival_hz = 20'000.0;  // per producer
   unsigned producers = 2;
   unsigned consumers = 2;
-  std::uint64_t key_space = std::uint64_t{1} << 32;
+  std::uint64_t key_space = std::uint64_t{1} << 32;  // a power of two
   // Hotspot key skew (workloads/distributions.hpp): hot_ops of submissions
   // draw from the bottom hot_keys of key_space. hot_keys 0 = uniform keys.
   double hot_ops = 0.0;
@@ -295,6 +296,15 @@ inline bool parse_chaos_schedule(const std::string& text, ChaosSchedule& out,
   }
   if (out.hot_ops > 0.0 && out.hot_keys == 0.0) {
     error = "chaos schedule: hot_ops needs hot_keys > 0";
+    return false;
+  }
+  // Keys come from a KeyConfig, whose key spaces are 2^bits wide.
+  if (out.key_space < 2 || !std::has_single_bit(out.key_space)) {
+    error = "chaos schedule: key_space must be a power of two >= 2";
+    return false;
+  }
+  if (!(out.arrival_hz > 0.0)) {
+    error = "chaos schedule: arrival_hz must be > 0";
     return false;
   }
   for (const ChaosScenario& sc : out.scenarios) {

@@ -118,18 +118,6 @@ class Watchdog {
   // a callback writing their state to the given stream.
   using Diagnostics = std::function<void(std::FILE*)>;
 
-  // Compose two diagnostics callbacks into one (either may be empty):
-  // subsystems stack their dumps instead of overwriting each other's.
-  static Diagnostics chain_diagnostics(Diagnostics first, Diagnostics second) {
-    if (!first) return second;
-    if (!second) return first;
-    return [first = std::move(first),
-            second = std::move(second)](std::FILE* out) {
-      first(out);
-      second(out);
-    };
-  }
-
   // Supervise `count` workers. A deadline <= 0 (or no workers) disables the
   // watchdog entirely — no thread is started.
   Watchdog(std::string label, const WorkerProgress* workers,

@@ -105,6 +105,19 @@ TEST(ChaosSchedule, RejectsBadHotspotConfig) {
   EXPECT_NE(error.find("hot_keys"), std::string::npos) << error;
 }
 
+// Keys come from a KeyConfig (2^bits wide), and a producer needs a rate.
+TEST(ChaosSchedule, RejectsKeySpaceOffPowersOfTwoAndIdleArrivals) {
+  ChaosSchedule schedule;
+  std::string error;
+  EXPECT_TRUE(parse_chaos_schedule("key_space 1048576\n", schedule, error))
+      << error;
+  EXPECT_FALSE(parse_chaos_schedule("key_space 1000000\n", schedule, error));
+  EXPECT_NE(error.find("key_space"), std::string::npos) << error;
+  EXPECT_FALSE(parse_chaos_schedule("key_space 1\n", schedule, error));
+  EXPECT_FALSE(parse_chaos_schedule("arrival_hz 0\n", schedule, error));
+  EXPECT_NE(error.find("arrival_hz"), std::string::npos) << error;
+}
+
 TEST(ChaosSchedule, InjectThrowDefaultsToTheSubmitSeam) {
   ChaosSchedule schedule;
   std::string error;
@@ -195,7 +208,7 @@ TEST(ChaosDrain, CloseAndDrainUnderThrowingSubmitsConserves) {
     team.emplace_back([&, t] {
       auto handle = checked.get_handle(t);
       for (std::uint64_t i = 0; i < 10'000; ++i) {
-        const std::uint64_t id = detail::chaos_item_id(t, i);
+        const std::uint64_t id = bench::detail::item_id(t, i);
         try {
           handle.try_submit(i & 1023, id);
         } catch (const InjectedFault&) {
@@ -238,7 +251,7 @@ TEST(ChaosDrain, DrainUnderDelayFaultsEverywhereConserves) {
       auto handle = checked.get_handle(t);
       if (t % 2 == 0) {
         for (std::uint64_t i = 0; i < 4'000; ++i) {
-          handle.try_submit(i & 511, detail::chaos_item_id(t, i));
+          handle.try_submit(i & 511, bench::detail::item_id(t, i));
         }
       } else {
         K key;

@@ -109,6 +109,9 @@ QueueSpec mini_spec() {
   spec.latency = [](const BenchConfig& cfg) {
     return run_latency(make_mini, cfg);
   };
+  spec.sort_phases = [](const BenchConfig& cfg) {
+    return run_sort_phases(make_mini, cfg);
+  };
   return spec;
 }
 
@@ -220,6 +223,43 @@ TEST(AllFailedCellTest, RunLatencyReportsFailure) {
   EXPECT_EQ(result.completed_reps, 0u);
   EXPECT_EQ(result.failed_reps, 2u);
   EXPECT_EQ(result.insert_ns.count(), 0u);
+}
+
+// The sort phases have no prefill: the throw happens in a worker, which
+// must still let the team through both phase barriers.
+TEST(AllFailedCellTest, RunSortPhasesReportsFailure) {
+  ThrowEverywhere guard;
+  BenchConfig cfg = small_config();
+  cfg.threads = 2;
+  const SortResult result = run_sort_phases(make_mini, cfg);
+  EXPECT_TRUE(result.failed());
+  EXPECT_EQ(result.completed_reps, 0u);
+  EXPECT_EQ(result.failed_reps, 2u);
+}
+
+TEST(AllFailedCellTest, SortTableMarksFailedCellsInJson) {
+  ThrowEverywhere guard;
+  const std::string json_path =
+      testing::TempDir() + "metrics_fault_test_sort.jsonl";
+  std::remove(json_path.c_str());
+  JsonSink::instance().set_path(json_path);
+  const QueueSpec mini = mini_spec();
+  Options options;
+  options.thread_ladder = {1};
+  const bool ok = sort_table("fault", small_config(), options, {&mini});
+  JsonSink::instance().set_path("");
+  EXPECT_FALSE(ok);
+
+  const std::vector<JsonRecord> records = records_from(json_path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].metric, "sort_insert_mops");
+  EXPECT_EQ(records[1].metric, "sort_delete_mops");
+  for (const JsonRecord& record : records) {
+    EXPECT_EQ(record.queue, "mini");
+    EXPECT_EQ(record.status, "failed");
+    EXPECT_EQ(record.reps, 0u);
+  }
+  std::remove(json_path.c_str());
 }
 
 TEST(AllFailedCellTest, ThroughputTableMarksFailedCellsInJson) {

@@ -502,7 +502,7 @@ TEST(ServiceBench, SojournHistogramIsPopulated) {
   cfg.producers = 1;
   cfg.consumers = 1;
   cfg.duration_s = 0.05;
-  cfg.arrival_hz = 5000.0;
+  cfg.arrivals = workloads::ArrivalConfig::poisson(5000.0);
   cfg.pin_threads = false;
   cfg.watchdog_s = 0.0;
   auto result = run_open_loop_service(
@@ -520,7 +520,7 @@ TEST(ServiceBench, CheckedRunWithSheddingStaysConservation) {
   cfg.producers = 1;
   cfg.consumers = 1;
   cfg.duration_s = 0.05;
-  cfg.arrival_hz = 20000.0;
+  cfg.arrivals = workloads::ArrivalConfig::poisson(20000.0);
   cfg.pin_threads = false;
   cfg.watchdog_s = 0.0;
   cfg.checked = true;

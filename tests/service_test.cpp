@@ -799,13 +799,49 @@ TEST(ServiceBench, PoissonArrivalsThrottleOfferedLoad) {
   };
   ServiceBenchConfig cfg = tiny_bench();
   cfg.duration_s = 0.05;
-  cfg.arrival_hz = 10000.0;  // ~500 arrivals in the window vs millions raw
-  cfg.measure_quality = false;
+  // ~500 arrivals in the window vs millions raw.
+  cfg.arrivals = workloads::ArrivalConfig::poisson(10000.0);
   const ServiceBenchResult throttled = run_open_loop_service(factory, cfg);
   EXPECT_GT(throttled.submitted, 0u);
   // Open loop: the offered rate tracks the schedule, not the queue. Allow
   // generous jitter for a 1-core container.
-  EXPECT_LT(throttled.offered_per_s, 10.0 * cfg.arrival_hz);
+  EXPECT_LT(throttled.offered_per_s, 10.0 * cfg.arrivals.mean_hz());
+}
+
+// The admission policy acts on the driver's producers: a back-to-back
+// producer fills a 32-slot window (no consumer drains it, so the outcome
+// does not hang on scheduling) and is then turned away, not parked. close()
+// may reject the one submission a parked producer holds at the end, so the
+// reject count must exceed the producer count.
+ServiceBenchConfig full_window_bench(AdmissionPolicy policy) {
+  ServiceBenchConfig cfg = tiny_bench();
+  cfg.consumers = 0;
+  cfg.prefill = 0;
+  cfg.checked = true;
+  cfg.service.max_in_flight = 32;
+  cfg.service.policy = policy;
+  return cfg;
+}
+
+TEST(ServiceBench, RejectPolicyTurnsProducersAwayAtTheWindow) {
+  auto factory = [](unsigned threads, std::uint64_t) {
+    return std::make_unique<Lock>(threads);
+  };
+  const ServiceBenchConfig cfg = full_window_bench(AdmissionPolicy::kReject);
+  const ServiceBenchResult result = run_open_loop_service(factory, cfg);
+  EXPECT_GT(result.stats.rejected, cfg.producers);
+  EXPECT_EQ(result.stats.submitted, cfg.service.max_in_flight);
+  EXPECT_TRUE(result.conservation_ok) << result.conservation_report;
+}
+
+TEST(ServiceBench, TieredPolicyRejectsLowTiersAtTheWindow) {
+  auto factory = [](unsigned threads, std::uint64_t) {
+    return std::make_unique<Lock>(threads);
+  };
+  const ServiceBenchConfig cfg = full_window_bench(AdmissionPolicy::kTiered);
+  const ServiceBenchResult result = run_open_loop_service(factory, cfg);
+  EXPECT_GT(result.stats.tier_rejected, 0u);
+  EXPECT_TRUE(result.conservation_ok) << result.conservation_report;
 }
 
 TEST(ServiceBench, QualityReplayScoresServiceRelaxation) {
