@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -163,62 +162,59 @@ inline std::string config_title(const std::string& label,
          " workload, " + cfg.keys.name() + " keys";
 }
 
-// Throughput sweep: MOps/s mean ± 95% CI per (threads, queue). Each cell is
-// additionally appended to the JSON sink (bench_framework/json_out.hpp).
-// Returns false when any cell failed (see kFailedCell).
-inline bool throughput_table(const std::string& label, BenchConfig cfg,
-                             const Options& options,
-                             const std::vector<const QueueSpec*>& roster) {
-  const std::vector<std::string> columns = roster_names(roster);
-  Table table(config_title(label, cfg) + " — throughput [MOps/s]", "threads",
-              columns);
+// What one cell of a closed-loop sweep measured: its completed repetitions
+// (0 = the cell failed), its JSON metrics and its text, one per table.
+struct CellResult {
+  struct Metric {
+    std::string name;
+    double mean = 0.0;
+    double ci95 = 0.0;
+  };
+  unsigned reps = 0;
+  std::vector<Metric> metrics;
+  std::vector<std::string> text;
+};
+
+// The sweep behind every closed-loop table: the thread ladder × the roster,
+// one table per entry of `titles` (rows = thread counts, columns = queues).
+// measure(spec, cfg, cell) runs one cell; `cell` numbers the cells
+// row-major from 0 (row × roster.size() + column). The sweep arms and
+// reports --metrics around it (unless `cell_metrics` is false), records its
+// metrics as JSON with the cell's status, renders a failed cell as
+// kFailedCell and drops a row whose every cell failed. Returns false when
+// any cell failed.
+template <typename Measure>
+bool sweep(const std::string& label, const std::string& experiment,
+           const std::vector<std::string>& titles, BenchConfig cfg,
+           const Options& options,
+           const std::vector<const QueueSpec*>& roster, Measure&& measure,
+           bool cell_metrics = true) {
+  std::vector<Table> tables;
+  for (const std::string& title : titles) {
+    tables.emplace_back(experiment + " — " + title, "threads",
+                        roster_names(roster));
+  }
   bool all_ok = true;
+  std::size_t next_cell = 0;
   for (unsigned threads : options.thread_ladder) {
     cfg.threads = threads;
-    std::vector<std::string> cells;
+    std::vector<std::vector<std::string>> cells(tables.size());
     unsigned ok_cells = 0;
     for (const QueueSpec* spec : roster) {
-      metrics_cell_begin(spec, threads);
-      const ThroughputResult result = spec->throughput(cfg);
-      const bool failed = result.failed();
-      if (failed) {
-        all_ok = false;
-        cells.emplace_back(kFailedCell);
-      } else {
-        ++ok_cells;
-        cells.push_back(Table::format_mean_ci(result.mops.mean,
-                                              result.mops.ci95));
+      if (cell_metrics) metrics_cell_begin(spec, threads);
+      const CellResult cell = measure(*spec, cfg, next_cell++);
+      const bool failed = cell.reps == 0;
+      all_ok &= !failed;
+      ok_cells += failed ? 0 : 1;
+      for (std::size_t t = 0; t < tables.size(); ++t) {
+        cells[t].push_back(failed ? kFailedCell : cell.text[t]);
       }
-      JsonSink::instance().record({config_title(label, cfg), spec->name,
-                                   "throughput_mops", threads,
-                                   result.mops.mean, result.mops.ci95,
-                                   static_cast<unsigned>(
-                                       result.per_rep.size()),
-                                   failed ? "failed" : "ok"});
-      // Open-loop runs additionally report the burst_* family: configured
-      // offered load plus the measured burst shape, so an achieved-vs-offered
-      // gap (queue saturating under bursts) is visible in the JSON.
-      if (cfg.arrivals.enabled() && !failed) {
-        const Summary on = summarize(result.on_fraction_per_rep);
-        const Summary bursts = summarize(result.bursts_per_rep);
-        const double offered_mops =
-            cfg.arrivals.mean_hz() * threads / 1e6;
-        std::printf("# burst %s t=%u: offered=%.3fMOps/s on=%.3f bursts=%.0f\n",
-                    spec->name.c_str(), threads, offered_mops, on.mean,
-                    bursts.mean);
-        const unsigned reps =
-            static_cast<unsigned>(result.per_rep.size());
-        JsonSink::instance().record({config_title(label, cfg), spec->name,
-                                     "burst_offered_mops", threads,
-                                     offered_mops, 0.0, reps});
-        JsonSink::instance().record({config_title(label, cfg), spec->name,
-                                     "burst_on_fraction", threads, on.mean,
-                                     on.ci95, reps});
-        JsonSink::instance().record({config_title(label, cfg), spec->name,
-                                     "burst_count", threads, bursts.mean,
-                                     bursts.ci95, reps});
+      for (const CellResult::Metric& metric : cell.metrics) {
+        JsonSink::instance().record({experiment, spec->name, metric.name,
+                                     threads, metric.mean, metric.ci95,
+                                     cell.reps, failed ? "failed" : "ok"});
       }
-      metrics_cell_report(config_title(label, cfg), spec->name, threads);
+      if (cell_metrics) metrics_cell_report(experiment, spec->name, threads);
     }
     if (ok_cells == 0) {
       std::fprintf(stderr,
@@ -226,10 +222,46 @@ inline bool throughput_table(const std::string& label, BenchConfig cfg,
                    label.c_str(), threads);
       continue;
     }
-    table.add_row(std::to_string(threads), std::move(cells));
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      tables[t].add_row(std::to_string(threads), std::move(cells[t]));
+    }
   }
-  table.print();
+  for (const Table& table : tables) table.print();
   return all_ok;
+}
+
+// Throughput sweep: MOps/s mean ± 95% CI per (threads, queue). Open-loop
+// runs add the burst_* family: the configured offered load plus the
+// measured burst shape, so an achieved-vs-offered gap (a queue saturating
+// under bursts) is visible in the JSON.
+inline bool throughput_table(const std::string& label, BenchConfig cfg,
+                             const Options& options,
+                             const std::vector<const QueueSpec*>& roster) {
+  return sweep(
+      label, config_title(label, cfg), {"throughput [MOps/s]"}, cfg, options,
+      roster,
+      [](const QueueSpec& spec, const BenchConfig& cell_cfg, std::size_t) {
+        const ThroughputResult result = spec.throughput(cell_cfg);
+        CellResult cell{static_cast<unsigned>(result.per_rep.size()),
+                        {{"throughput_mops", result.mops.mean,
+                          result.mops.ci95}},
+                        {Table::format_mean_ci(result.mops.mean,
+                                               result.mops.ci95)}};
+        if (cell_cfg.arrivals.enabled() && !result.failed()) {
+          const Summary on = summarize(result.on_fraction_per_rep);
+          const Summary bursts = summarize(result.bursts_per_rep);
+          const double offered_mops =
+              cell_cfg.arrivals.mean_hz() * cell_cfg.threads / 1e6;
+          std::printf(
+              "# burst %s t=%u: offered=%.3fMOps/s on=%.3f bursts=%.0f\n",
+              spec.name.c_str(), cell_cfg.threads, offered_mops, on.mean,
+              bursts.mean);
+          cell.metrics.push_back({"burst_offered_mops", offered_mops});
+          cell.metrics.push_back({"burst_on_fraction", on.mean, on.ci95});
+          cell.metrics.push_back({"burst_count", bursts.mean, bursts.ci95});
+        }
+        return cell;
+      });
 }
 
 // Interleaved throughput sweep (anti-artifact hygiene, arXiv:2208.08469):
@@ -239,20 +271,18 @@ inline bool throughput_table(const std::string& label, BenchConfig cfg,
 // makes every queue inherit the allocator state its rivals left behind —
 // as in any real comparison harness — and the per-queue spread across
 // repetitions ((max-min)/mean) is reported as the layout_* metric family
-// instead of silently contaminating the means. Per-cell metrics/rank-est
-// reporting is skipped here: cells interleave, so registry deltas would
-// mix queues. Returns false when any queue produced no completed rep.
+// instead of silently contaminating the means. Every row runs before the
+// table is built, so per-cell metrics/rank-est reporting is skipped: the
+// registry deltas would mix queues. Returns false when any queue produced
+// no completed rep.
 inline bool interleaved_throughput_table(
     const std::string& label, BenchConfig cfg, const Options& options,
     const std::vector<const QueueSpec*>& roster) {
-  const std::vector<std::string> columns = roster_names(roster);
-  Table table(config_title(label, cfg) +
-                  " — interleaved throughput [MOps/s] (layout spread)",
-              "threads", columns);
-  bool all_ok = true;
+  std::vector<std::vector<double>> samples;  // per sweep cell, row-major
   for (unsigned threads : options.thread_ladder) {
     cfg.threads = threads;
-    std::vector<std::vector<double>> samples(roster.size());
+    const std::size_t row_start = samples.size();
+    samples.resize(row_start + roster.size());
     std::vector<std::size_t> order(roster.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     for (unsigned rep = 0; rep < cfg.repetitions; ++rep) {
@@ -263,178 +293,97 @@ inline bool interleaved_throughput_table(
       for (std::size_t idx : order) {
         BenchConfig rep_cfg = cfg;
         rep_cfg.repetitions = 1;
-        // Matches run_throughput's internal per-rep seed derivation, so an
-        // interleaved rep replays the same key streams as rep `rep` of a
-        // plain sweep — only the process-lifetime context differs.
-        rep_cfg.seed = cfg.seed + 7919ULL * rep;
+        // Repetition `rep`'s own seed, so an interleaved rep replays the
+        // same key streams as rep `rep` of a plain sweep — only the
+        // process-lifetime context differs.
+        rep_cfg.seed = rep_seed(cfg.seed, rep);
         rep_cfg.label = roster[idx]->name;
         const ThroughputResult result = roster[idx]->throughput(rep_cfg);
-        if (!result.failed()) samples[idx].push_back(result.per_rep.front());
+        if (!result.failed()) {
+          samples[row_start + idx].push_back(result.per_rep.front());
+        }
       }
     }
-    std::vector<std::string> cells;
-    unsigned ok_cells = 0;
-    for (std::size_t i = 0; i < roster.size(); ++i) {
-      const std::string experiment = config_title(label, cfg);
-      if (samples[i].empty()) {
-        all_ok = false;
-        cells.emplace_back(kFailedCell);
-        JsonSink::instance().record({experiment, roster[i]->name,
-                                     "throughput_mops", threads, 0.0, 0.0, 0,
-                                     "failed"});
-        continue;
-      }
-      ++ok_cells;
-      const Summary mops = summarize(samples[i]);
-      const auto [min_it, max_it] =
-          std::minmax_element(samples[i].begin(), samples[i].end());
-      const double spread_pct =
-          mops.mean > 0.0 ? (*max_it - *min_it) / mops.mean * 100.0 : 0.0;
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.2f (±%.1f%%)", mops.mean,
-                    spread_pct / 2.0);
-      cells.emplace_back(buf);
-      const unsigned reps = static_cast<unsigned>(samples[i].size());
-      JsonSink::instance().record({experiment, roster[i]->name,
-                                   "throughput_mops", threads, mops.mean,
-                                   mops.ci95, reps});
-      JsonSink::instance().record({experiment, roster[i]->name,
-                                   "layout_spread_pct", threads, spread_pct,
-                                   0.0, reps});
-      JsonSink::instance().record({experiment, roster[i]->name,
-                                   "layout_min_mops", threads, *min_it, 0.0,
-                                   reps});
-      JsonSink::instance().record({experiment, roster[i]->name,
-                                   "layout_max_mops", threads, *max_it, 0.0,
-                                   reps});
-      std::printf("# layout %s t=%u: spread=%.1f%% min=%.2f max=%.2f (n=%u)\n",
-                  roster[i]->name.c_str(), threads, spread_pct, *min_it,
-                  *max_it, reps);
-    }
-    if (ok_cells == 0) {
-      std::fprintf(stderr,
-                   "[cpq] %s: dropping thread row %u (every cell failed)\n",
-                   label.c_str(), threads);
-      continue;
-    }
-    table.add_row(std::to_string(threads), std::move(cells));
   }
-  table.print();
-  return all_ok;
+  return sweep(
+      label, config_title(label, cfg),
+      {"interleaved throughput [MOps/s] (layout spread)"}, cfg, options,
+      roster,
+      [&](const QueueSpec& spec, const BenchConfig& cell_cfg,
+          std::size_t cell) {
+        const std::vector<double>& runs = samples[cell];
+        if (runs.empty()) return CellResult{0, {{"throughput_mops"}}, {}};
+        const Summary mops = summarize(runs);
+        const auto [min_it, max_it] =
+            std::minmax_element(runs.begin(), runs.end());
+        const double spread_pct =
+            mops.mean > 0.0 ? (*max_it - *min_it) / mops.mean * 100.0 : 0.0;
+        std::printf(
+            "# layout %s t=%u: spread=%.1f%% min=%.2f max=%.2f (n=%zu)\n",
+            spec.name.c_str(), cell_cfg.threads, spread_pct, *min_it,
+            *max_it, runs.size());
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%.2f (±%.1f%%)", mops.mean,
+                      spread_pct / 2.0);
+        return CellResult{static_cast<unsigned>(runs.size()),
+                          {{"throughput_mops", mops.mean, mops.ci95},
+                           {"layout_spread_pct", spread_pct},
+                           {"layout_min_mops", *min_it},
+                           {"layout_max_mops", *max_it}},
+                          {buf}};
+      },
+      /*cell_metrics=*/false);
 }
 
 // Rank-error sweep: mean (stddev) per (threads, queue), as in the paper's
-// quality tables. Returns false when any cell failed.
+// quality tables.
 inline bool quality_table(const std::string& label, BenchConfig cfg,
                           const Options& options,
                           const std::vector<const QueueSpec*>& roster) {
-  const std::vector<std::string> columns = roster_names(roster);
-  Table table(config_title(label, cfg) + " — rank error mean (σ)", "threads",
-              columns);
-  bool all_ok = true;
-  for (unsigned threads : options.thread_ladder) {
-    cfg.threads = threads;
-    std::vector<std::string> cells;
-    unsigned ok_cells = 0;
-    for (const QueueSpec* spec : roster) {
-      metrics_cell_begin(spec, threads);
-      const QualityResult result = spec->quality(cfg);
-      const bool failed = result.failed();
-      if (failed) {
-        all_ok = false;
-        cells.emplace_back(kFailedCell);
-      } else {
-        ++ok_cells;
-        cells.push_back(Table::format_mean_std(result.rank_error.mean,
-                                               result.rank_error.stddev));
-      }
-      JsonSink::instance().record({config_title(label, cfg), spec->name,
-                                   "rank_error_mean", threads,
-                                   result.rank_error.mean,
-                                   result.rank_error.ci95,
-                                   result.completed_reps,
-                                   failed ? "failed" : "ok"});
-      metrics_cell_report(config_title(label, cfg), spec->name, threads);
-    }
-    if (ok_cells == 0) {
-      std::fprintf(stderr,
-                   "[cpq] %s: dropping thread row %u (every cell failed)\n",
-                   label.c_str(), threads);
-      continue;
-    }
-    table.add_row(std::to_string(threads), std::move(cells));
-  }
-  table.print();
-  return all_ok;
+  return sweep(label, config_title(label, cfg), {"rank error mean (σ)"}, cfg,
+               options, roster,
+               [](const QueueSpec& spec, const BenchConfig& cell_cfg,
+                  std::size_t) {
+                 const QualityResult result = spec.quality(cell_cfg);
+                 const Summary& error = result.rank_error;
+                 return CellResult{
+                     result.completed_reps,
+                     {{"rank_error_mean", error.mean, error.ci95}},
+                     {Table::format_mean_std(error.mean, error.stddev)}};
+               });
 }
 
 // Per-operation latency sweep (the paper's §F throughput/latency switch):
 // every operation timed individually, p50 / p99 ns per (threads, queue) in
 // one insert and one delete_min table from the same runs. With --metrics
-// each cell also prints its full insert and delete_min histograms. Returns
-// false when any cell failed.
+// each cell also prints its full insert and delete_min histograms.
 inline bool latency_table(const std::string& label, BenchConfig cfg,
                           const Options& options,
                           const std::vector<const QueueSpec*>& roster) {
-  const std::string title = config_title(label, cfg);
-  const std::vector<std::string> columns = roster_names(roster);
-  Table inserts(title + " — insert latency [ns] p50 / p99", "threads",
-                columns);
-  Table deletes(title + " — delete_min latency [ns] p50 / p99", "threads",
-                columns);
   const auto p50_p99 = [](const LatencyPercentiles& p) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.0f / %.0f", p.p50_ns, p.p99_ns);
     return std::string(buf);
   };
-  bool all_ok = true;
-  for (unsigned threads : options.thread_ladder) {
-    cfg.threads = threads;
-    std::vector<std::string> insert_cells;
-    std::vector<std::string> delete_cells;
-    unsigned ok_cells = 0;
-    for (const QueueSpec* spec : roster) {
-      metrics_cell_begin(spec, threads);
-      const LatencyResult result = spec->latency(cfg);
-      const bool failed = result.failed();
-      if (failed) {
-        all_ok = false;
-        insert_cells.emplace_back(kFailedCell);
-        delete_cells.emplace_back(kFailedCell);
-      } else {
-        ++ok_cells;
-        insert_cells.push_back(p50_p99(result.insert));
-        delete_cells.push_back(p50_p99(result.delete_min));
-      }
-      const char* status = failed ? "failed" : "ok";
-      for (const auto& [metric, value] :
-           {std::pair{"latency_delete_p50_ns", result.delete_min.p50_ns},
-            std::pair{"latency_delete_p99_ns", result.delete_min.p99_ns},
-            std::pair{"latency_insert_p99_ns", result.insert.p99_ns}}) {
-        JsonSink::instance().record({title, spec->name, metric, threads,
-                                     value, 0.0, result.completed_reps,
-                                     status});
-      }
-      metrics_cell_report(title, spec->name, threads);
-      if (metrics_report_enabled() && !failed) {
-        result.insert_ns.print(stdout,
-                               (spec->name + " insert latency [ns]").c_str());
-        result.delete_ns.print(
-            stdout, (spec->name + " delete_min latency [ns]").c_str());
-      }
-    }
-    if (ok_cells == 0) {
-      std::fprintf(stderr,
-                   "[cpq] %s: dropping thread row %u (every cell failed)\n",
-                   label.c_str(), threads);
-      continue;
-    }
-    inserts.add_row(std::to_string(threads), std::move(insert_cells));
-    deletes.add_row(std::to_string(threads), std::move(delete_cells));
-  }
-  inserts.print();
-  deletes.print();
-  return all_ok;
+  return sweep(
+      label, config_title(label, cfg),
+      {"insert latency [ns] p50 / p99", "delete_min latency [ns] p50 / p99"},
+      cfg, options, roster,
+      [&](const QueueSpec& spec, const BenchConfig& cell_cfg, std::size_t) {
+        const LatencyResult result = spec.latency(cell_cfg);
+        if (metrics_report_enabled() && !result.failed()) {
+          result.insert_ns.print(
+              stdout, (spec.name + " insert latency [ns]").c_str());
+          result.delete_ns.print(
+              stdout, (spec.name + " delete_min latency [ns]").c_str());
+        }
+        return CellResult{
+            result.completed_reps,
+            {{"latency_delete_p50_ns", result.delete_min.p50_ns},
+             {"latency_delete_p99_ns", result.delete_min.p99_ns},
+             {"latency_insert_p99_ns", result.insert.p99_ns}},
+            {p50_p99(result.insert), p50_p99(result.delete_min)}};
+      });
 }
 
 // Larkin-Sen-Tarjan-style sorting phases (the paper's §F batch mode): all
@@ -443,53 +392,26 @@ inline bool latency_table(const std::string& label, BenchConfig cfg,
 // appendix says Mounds dominate) and the delete path (CBPQ's FAA tickets,
 // Lindén's prefix batching) are timed apart: one MOps/s table per phase,
 // and sort_insert_mops / sort_delete_mops records per cell. The workload
-// shape does not apply; only the key distribution does. Returns false when
-// any cell failed.
+// shape does not apply; only the key distribution does.
 inline bool sort_table(const std::string& label, BenchConfig cfg,
                        const Options& options,
                        const std::vector<const QueueSpec*>& roster) {
-  const std::string title = label + " — " + cfg.keys.name() + " keys";
-  const std::vector<std::string> columns = roster_names(roster);
-  Table inserts(title + " — sort insert phase [MOps/s]", "threads", columns);
-  Table deletes(title + " — sort delete phase [MOps/s]", "threads", columns);
-  bool all_ok = true;
-  for (unsigned threads : options.thread_ladder) {
-    cfg.threads = threads;
-    std::vector<std::string> insert_cells;
-    std::vector<std::string> delete_cells;
-    unsigned ok_cells = 0;
-    for (const QueueSpec* spec : roster) {
-      const SortResult result = spec->sort_phases(cfg);
-      const bool failed = result.failed();
-      for (const auto& [metric, mops, cells] :
-           {std::tuple{"sort_insert_mops", result.insert_mops, &insert_cells},
-            std::tuple{"sort_delete_mops", result.delete_mops,
-                       &delete_cells}}) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.2f", mops);
-        cells->emplace_back(failed ? kFailedCell : buf);
-        JsonSink::instance().record({title, spec->name, metric, threads, mops,
-                                     0.0, result.completed_reps,
-                                     failed ? "failed" : "ok"});
-      }
-      if (failed) {
-        all_ok = false;
-      } else {
-        ++ok_cells;
-      }
-    }
-    if (ok_cells == 0) {
-      std::fprintf(stderr,
-                   "[cpq] %s: dropping thread row %u (every cell failed)\n",
-                   label.c_str(), threads);
-      continue;
-    }
-    inserts.add_row(std::to_string(threads), std::move(insert_cells));
-    deletes.add_row(std::to_string(threads), std::move(delete_cells));
-  }
-  inserts.print();
-  deletes.print();
-  return all_ok;
+  const auto mops = [](double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.2f", value);
+    return std::string(buf);
+  };
+  return sweep(
+      label, label + " — " + cfg.keys.name() + " keys",
+      {"sort insert phase [MOps/s]", "sort delete phase [MOps/s]"}, cfg,
+      options, roster,
+      [&](const QueueSpec& spec, const BenchConfig& cell_cfg, std::size_t) {
+        const SortResult result = spec.sort_phases(cell_cfg);
+        return CellResult{result.completed_reps,
+                          {{"sort_insert_mops", result.insert_mops},
+                           {"sort_delete_mops", result.delete_mops}},
+                          {mops(result.insert_mops), mops(result.delete_mops)}};
+      });
 }
 
 // Open-loop service sweep: every roster queue driven raw and through
@@ -642,7 +564,6 @@ inline bool run_preset(const PresetSpec& preset, const Options& options,
         ok &= quality_table(panel.label, cfg, options, roster);
         break;
       case PanelMode::kInterleaved:
-        cfg.shuffle_prefill = true;
         cfg.perturb_layout = true;
         ok &= interleaved_throughput_table(panel.label, cfg, options, roster);
         break;

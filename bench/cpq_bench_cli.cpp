@@ -20,12 +20,14 @@
 //   --producer-fraction=F     fraction of threads that insert (pcsplit)
 //   --arrivals=closed|poisson:HZ|mmpp:HZ_ON,HZ_OFF,ON_MS,OFF_MS
 //                             open-loop arrival pacing per worker thread
-//                             (throughput and service modes; default closed)
+//                             (throughput and service modes only, else
+//                             exit 2; default closed)
 //   --interleave              run all queues in one process, one repetition
 //                             at a time in shuffled order, and report the
 //                             per-queue layout_* spread (throughput mode)
 //   --perturb-layout          randomize heap layout between repetitions and
-//                             shuffle prefill insertion order
+//                             shuffle prefill insertion order (throughput,
+//                             quality, latency and sort modes)
 //   --insert-fraction=0.5     operation distribution (uniform workload)
 //   --prefill=100000
 //   --threads=1,2,4,8         thread ladder, each entry 1..1024
@@ -99,6 +101,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -504,7 +507,6 @@ int main(int argc, char** argv) {
       interleave = true;
     } else if (std::strcmp(arg, "--perturb-layout") == 0) {
       shape.perturb_layout = true;
-      shape.shuffle_prefill = true;
     } else if (std::strcmp(arg, "--metrics") == 0) {
       metrics_report_enabled() = true;
     } else if (std::strcmp(arg, "--dump-traces") == 0) {
@@ -680,11 +682,16 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (interleave && mode != "throughput") {
-    std::fprintf(stderr,
-                 "cpq_bench_cli: --interleave only applies to "
-                 "--mode=throughput\n");
-    return 2;
+  // Interleaving is a throughput pass. Pacing applies to throughput and
+  // service traffic; quality, latency and sort issue fixed work back to back.
+  for (const auto& [flag, applies] :
+       {std::pair{"--interleave", mode == "throughput"},
+        std::pair{"--arrivals", mode == "throughput" || mode == "service"}}) {
+    if (contains(given, flag) && !applies) {
+      std::fprintf(stderr, "cpq_bench_cli: %s does not apply to --mode=%s\n",
+                   flag, mode.c_str());
+      return 2;
+    }
   }
   if (!telemetry.enabled()) {
     for (const char* flag : {"--timeseries-out", "--prom-out", "--slo"}) {

@@ -32,9 +32,17 @@ using V = bench_value;
 static_assert(RelaxationSelfReporting<MultiQueue<K, V>>);
 static_assert(RelaxationSelfReporting<EngMultiQueue<K, V>>);
 
-// Bind the template harness to a queue factory. Each runner stamps the
+// Bind one closed-loop mode to a queue factory. The runner stamps the
 // queue's registry name into the config so watchdog dumps and repetition
 // failure reports name the queue they supervise.
+template <typename Mode, typename Factory>
+auto closed_loop_runner(const std::string& name, Factory factory) {
+  return [factory, name](BenchConfig cfg) {
+    cfg.label = name;
+    return run_closed_loop<Mode>(factory, cfg);
+  };
+}
+
 template <typename Factory>
 QueueSpec make_spec(std::string name, std::string description, bool strict,
                     bool in_paper, Factory factory) {
@@ -43,42 +51,10 @@ QueueSpec make_spec(std::string name, std::string description, bool strict,
   spec.description = std::move(description);
   spec.strict = strict;
   spec.in_paper = in_paper;
-  spec.throughput = [factory, name = spec.name](const BenchConfig& cfg) {
-    BenchConfig labeled = cfg;
-    labeled.label = name;
-    return run_throughput(
-        [&](unsigned threads, std::uint64_t seed) {
-          return factory(threads, seed, labeled);
-        },
-        labeled);
-  };
-  spec.quality = [factory, name = spec.name](const BenchConfig& cfg) {
-    BenchConfig labeled = cfg;
-    labeled.label = name;
-    return run_quality(
-        [&](unsigned threads, std::uint64_t seed) {
-          return factory(threads, seed, labeled);
-        },
-        labeled);
-  };
-  spec.latency = [factory, name = spec.name](const BenchConfig& cfg) {
-    BenchConfig labeled = cfg;
-    labeled.label = name;
-    return run_latency(
-        [&](unsigned threads, std::uint64_t seed) {
-          return factory(threads, seed, labeled);
-        },
-        labeled);
-  };
-  spec.sort_phases = [factory, name = spec.name](const BenchConfig& cfg) {
-    BenchConfig labeled = cfg;
-    labeled.label = name;
-    return run_sort_phases(
-        [&](unsigned threads, std::uint64_t seed) {
-          return factory(threads, seed, labeled);
-        },
-        labeled);
-  };
+  spec.throughput = closed_loop_runner<ThroughputMode>(spec.name, factory);
+  spec.quality = closed_loop_runner<QualityMode>(spec.name, factory);
+  spec.latency = closed_loop_runner<LatencyMode>(spec.name, factory);
+  spec.sort_phases = closed_loop_runner<SortMode>(spec.name, factory);
   spec.service_bench = [factory,
                         name = spec.name](const service::ServiceBenchConfig&
                                               cfg) {

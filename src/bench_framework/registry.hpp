@@ -1,8 +1,9 @@
 // Queue registry: every benchmarkable queue under its paper name, bound to
-// type-erased throughput and quality runners (the template harness is
-// instantiated once per queue type in registry.cpp, so the hot loops stay
-// fully inlined — no virtual dispatch per operation). Alongside it, the
-// benchmark-mode list and the preset table of cpq_bench_cli.
+// type-erased runners of the closed-loop modes and the open-loop service
+// comparison (the template harness is instantiated once per queue type in
+// registry.cpp, so the hot loops stay fully inlined — no virtual dispatch
+// per operation). Alongside it, the benchmark-mode list and the preset
+// table of cpq_bench_cli.
 //
 // Paper roster: glock, linden, spray, mq, klsm128, klsm256, klsm4096.
 // Extensions:   hunt (appendix D), dlsm, slsm256 (component ablation),
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "bench_framework/harness.hpp"
-#include "bench_framework/latency.hpp"
 #include "service/service_bench.hpp"
 
 namespace cpq::bench {

@@ -37,7 +37,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -51,7 +50,6 @@
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
-#include "platform/backoff.hpp"
 #include "platform/cache.hpp"
 #include "platform/clock.hpp"
 #include "platform/thread_util.hpp"
@@ -138,23 +136,6 @@ bool submit(Handle& handle, std::uint64_t key, std::uint64_t id,
   }
 }
 
-// Hold a producer until `due_ns` on its stopwatch. False when the run
-// stopped first; sleeps come in slices of at most 1 ms so the stop is seen.
-inline bool wait_until(const Stopwatch& watch, double due_ns,
-                       const std::atomic<bool>& stop) {
-  for (;;) {
-    const double wait_ns = due_ns - static_cast<double>(watch.elapsed_ns());
-    if (wait_ns <= 0.0) return true;
-    if (stop.load(std::memory_order_relaxed)) return false;
-    if (wait_ns > 100'000.0) {
-      std::this_thread::sleep_for(std::chrono::nanoseconds(
-          static_cast<std::int64_t>(std::min(wait_ns, 1e6))));
-    } else {
-      cpu_relax();
-    }
-  }
-}
-
 }  // namespace detail
 
 // Drive `engine` (anything with get_handle(tid) -> insert/delete_min) with
@@ -168,21 +149,11 @@ OpenLoopRun run_open_loop(Engine& engine, const ServiceBenchConfig& cfg,
   OpenLoopRun run;
   run.logs.assign(threads + 1, {});
 
-  {  // Prefill through a scoped handle (service handles flush on exit).
-    auto handle = engine.get_handle(0);
-    workloads::KeyGenerator gen(cfg.keys, cfg.seed ^ 0x9e3779b9ULL,
-                                bench::detail::kPrefillThread);
-    const std::size_t window = cfg.service.max_in_flight;
-    const std::size_t prefill =
-        window == 0 ? cfg.prefill : std::min(cfg.prefill, window);
-    for (std::size_t i = 0; i < prefill; ++i) {
-      const std::uint64_t key = gen.next();
-      const std::uint64_t id =
-          bench::detail::item_id(bench::detail::kPrefillThread, i);
-      handle.insert(key, id);
-      run.logs[threads].push_back({fast_timestamp(), key, id, true});
-    }
-  }
+  const std::size_t window = cfg.service.max_in_flight;
+  bench::prefill_queue(engine, cfg.keys,
+                       window == 0 ? cfg.prefill
+                                   : std::min(cfg.prefill, window),
+                       cfg.seed, /*shuffle=*/false, &run.logs[threads]);
 
   auto* service = detail::service_of(engine);
   std::vector<validation::WorkerProgress> progress(threads);
@@ -246,7 +217,7 @@ OpenLoopRun run_open_loop(Engine& engine, const ServiceBenchConfig& cfg,
         while (!stop.load(std::memory_order_relaxed)) {
           // Open loop: wait for the wall clock, never for the engine. A
           // producer that falls behind issues the backlog at full speed.
-          if (arrival && !detail::wait_until(
+          if (arrival && !bench::detail::wait_until(
                              watch, arrival->next_arrival_ns(), stop)) {
             break;
           }

@@ -13,7 +13,6 @@
 //   * the service's counters (batch fill, steals, sheds, rejections).
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -91,11 +90,7 @@ void run_and_score(Engine& engine, const ServiceBenchConfig& cfg,
   std::vector<double> errors;
   bench::replay_rank_errors(run.logs, errors, result.max_rank_error);
   result.deletions = errors.size();
-  if (!errors.empty()) {
-    const std::size_t mid = errors.size() / 2;
-    std::nth_element(errors.begin(), errors.begin() + mid, errors.end());
-    result.median_rank_error = errors[mid];
-  }
+  result.median_rank_error = bench::median_in_place(errors);
 }
 
 }  // namespace detail

@@ -356,14 +356,19 @@ TEST_P(KlsmBoundSweep, MedianRankErrorBelowTheoreticalCap) {
 INSTANTIATE_TEST_SUITE_P(Relaxations, KlsmBoundSweep,
                          ::testing::Values(128, 256, 4096));
 
+// Every queue, relaxed ones included: a strict queue's rank error is always
+// 0, so only a relaxed queue's non-zero mean can catch a log-ordering slip.
 TEST(Integration, QualityDeterministicForFixedSeed) {
   BenchConfig cfg = tiny_config();
   cfg.threads = 1;  // single thread: fully deterministic
-  const QueueSpec* glock = find_queue("glock");
-  const QualityResult a = glock->quality(cfg);
-  const QualityResult b = glock->quality(cfg);
-  EXPECT_EQ(a.deletions, b.deletions);
-  EXPECT_DOUBLE_EQ(a.rank_error.mean, b.rank_error.mean);
+  for (const QueueSpec& spec : queue_registry()) {
+    SCOPED_TRACE(spec.name);
+    const QualityResult a = spec.quality(cfg);
+    const QualityResult b = spec.quality(cfg);
+    EXPECT_EQ(a.deletions, b.deletions);
+    EXPECT_DOUBLE_EQ(a.rank_error.mean, b.rank_error.mean);
+    EXPECT_EQ(a.max_rank_error, b.max_rank_error);
+  }
 }
 
 // ---- the PriorityService dispatch layer through the registry -------------
@@ -439,6 +444,15 @@ TEST(BenchCli, InvalidFlagsExitWithStatusTwo) {
   EXPECT_EQ(run_cli("--queues=bogus1,bogus2", out), 2);
   EXPECT_EQ(run_cli("--ms=inf", out), 2);
   EXPECT_EQ(run_cli("--workload=bogus", out), 2);
+  // Arrival pacing is a throughput- and service-mode knob.
+  for (const char* mode : {"quality", "latency", "sort"}) {
+    EXPECT_EQ(run_cli(std::string("--mode=") + mode +
+                          " --arrivals=poisson:1000 --queues=glock "
+                          "--threads=1 --reps=1 --prefill=100 --ops=100",
+                      out),
+              2)
+        << mode;
+  }
 }
 
 // Every queue name and every ladder entry is checked: a typo exits 2 and
@@ -673,6 +687,14 @@ TEST(BenchCli, MetricsFlagReportsPerCellCounters) {
   EXPECT_NE(out.find("cas_retry="), std::string::npos);
   EXPECT_NE(out.find("lock_retry="), std::string::npos);
   EXPECT_NE(out.find("ebr_retire="), std::string::npos);
+  // Sort cells report too, with their inserts and deletes as the per-op
+  // denominator.
+  ASSERT_EQ(run_cli("--mode=sort --queues=mq --threads=2 --reps=1 "
+                    "--prefill=2000 --metrics",
+                    out),
+            0);
+  EXPECT_NE(out.find("# metrics mq t=2:"), std::string::npos) << out;
+  EXPECT_NE(out.find("# perf mq t=2:"), std::string::npos) << out;
 }
 
 TEST(BenchCli, LatencyModeWithMetricsPrintsHistograms) {

@@ -27,7 +27,6 @@
 #include "bench_common.hpp"
 #include "bench_framework/harness.hpp"
 #include "bench_framework/json_out.hpp"
-#include "bench_framework/latency.hpp"
 #include "bench_framework/registry.hpp"
 #include "validation/fault_injection.hpp"
 
@@ -69,7 +68,8 @@ class MiniQueue {
   std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap_;
 };
 
-std::unique_ptr<MiniQueue> make_mini(unsigned, std::uint64_t) {
+std::unique_ptr<MiniQueue> make_mini(unsigned, std::uint64_t,
+                                     const BenchConfig&) {
   return std::make_unique<MiniQueue>();
 }
 
@@ -101,16 +101,16 @@ QueueSpec mini_spec() {
   spec.strict = true;
   spec.in_paper = false;
   spec.throughput = [](const BenchConfig& cfg) {
-    return run_throughput(make_mini, cfg);
+    return run_closed_loop<ThroughputMode>(make_mini, cfg);
   };
   spec.quality = [](const BenchConfig& cfg) {
-    return run_quality(make_mini, cfg);
+    return run_closed_loop<QualityMode>(make_mini, cfg);
   };
   spec.latency = [](const BenchConfig& cfg) {
-    return run_latency(make_mini, cfg);
+    return run_closed_loop<LatencyMode>(make_mini, cfg);
   };
   spec.sort_phases = [](const BenchConfig& cfg) {
-    return run_sort_phases(make_mini, cfg);
+    return run_closed_loop<SortMode>(make_mini, cfg);
   };
   return spec;
 }
@@ -201,7 +201,8 @@ TEST(FaultActionTest, HoldActionParksUntilReleased) {
 
 TEST(AllFailedCellTest, RunThroughputReportsFailure) {
   ThrowEverywhere guard;
-  const ThroughputResult result = run_throughput(make_mini, small_config());
+  const ThroughputResult result =
+      run_closed_loop<ThroughputMode>(make_mini, small_config());
   EXPECT_TRUE(result.failed());
   EXPECT_TRUE(result.per_rep.empty());
   EXPECT_EQ(result.failed_reps, 2u);
@@ -210,7 +211,8 @@ TEST(AllFailedCellTest, RunThroughputReportsFailure) {
 
 TEST(AllFailedCellTest, RunQualityReportsFailure) {
   ThrowEverywhere guard;
-  const QualityResult result = run_quality(make_mini, small_config());
+  const QualityResult result =
+      run_closed_loop<QualityMode>(make_mini, small_config());
   EXPECT_TRUE(result.failed());
   EXPECT_EQ(result.completed_reps, 0u);
   EXPECT_EQ(result.failed_reps, 2u);
@@ -218,7 +220,8 @@ TEST(AllFailedCellTest, RunQualityReportsFailure) {
 
 TEST(AllFailedCellTest, RunLatencyReportsFailure) {
   ThrowEverywhere guard;
-  const LatencyResult result = run_latency(make_mini, small_config());
+  const LatencyResult result =
+      run_closed_loop<LatencyMode>(make_mini, small_config());
   EXPECT_TRUE(result.failed());
   EXPECT_EQ(result.completed_reps, 0u);
   EXPECT_EQ(result.failed_reps, 2u);
@@ -231,7 +234,7 @@ TEST(AllFailedCellTest, RunSortPhasesReportsFailure) {
   ThrowEverywhere guard;
   BenchConfig cfg = small_config();
   cfg.threads = 2;
-  const SortResult result = run_sort_phases(make_mini, cfg);
+  const SortResult result = run_closed_loop<SortMode>(make_mini, cfg);
   EXPECT_TRUE(result.failed());
   EXPECT_EQ(result.completed_reps, 0u);
   EXPECT_EQ(result.failed_reps, 2u);

@@ -3,11 +3,11 @@
 // layer itself detects what it claims to detect.
 //
 // This binary is the only target compiled with CPQ_FAULT_INJECTION=1 (see
-// tests/CMakeLists.txt). It deliberately links cpq_queues + gtest only — not
-// cpq_bench_framework, whose registry.cpp instantiates the same queue
-// templates without injection, which would be an ODR violation. The harness
-// templates it needs (throughput_rep for the watchdog death test) are
-// header-only.
+// tests/CMakeLists.txt). It deliberately links cpq_queues, the queue-free
+// cpq_bench_io (the quality replay) and gtest — not cpq_bench_framework,
+// whose registry.cpp instantiates the same queue templates without
+// injection, which would be an ODR violation. The closed-loop harness the
+// watchdog death test drives is header-only.
 //
 // Injection rate: CPQ_INJECT_PPM if set, else 1000 firings per million hook
 // crossings — high enough that a 24k-operation run injects hundreds of
@@ -23,6 +23,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -1036,7 +1037,8 @@ TEST(WatchdogTest, NoAbortWhileProgressing) {
 
 // A queue whose delete_min eventually spins forever: the livelock the
 // watchdog exists for. Workers stop ticking, the heartbeat sum freezes, and
-// throughput_rep's supervisor must dump diagnostics and _Exit(86).
+// the closed-loop harness's supervisor must dump diagnostics and _Exit(86)
+// in every mode.
 class StallingQueue {
  public:
   using key_type = K;
@@ -1061,22 +1063,47 @@ class StallingQueue {
   Handle get_handle(unsigned) { return Handle(); }
 };
 
-TEST(WatchdogDeathTest, StallingQueueTriggersAbortWithDiagnostics) {
+template <typename Mode>
+void run_stalling(const bench::BenchConfig& cfg) {
+  bench::run_closed_loop<Mode>(
+      [](unsigned threads, std::uint64_t, const bench::BenchConfig&) {
+        return std::make_unique<StallingQueue>(threads);
+      },
+      cfg);
+}
+
+struct ClosedLoopMode {
+  const char* name;
+  void (*run)(const bench::BenchConfig&);
+  friend void PrintTo(const ClosedLoopMode& mode, std::ostream* out) {
+    *out << mode.name;
+  }
+};
+
+class WatchdogDeathTest : public ::testing::TestWithParam<ClosedLoopMode> {};
+
+TEST_P(WatchdogDeathTest, StallingQueueTriggersAbortWithDiagnostics) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   bench::BenchConfig cfg;
   cfg.threads = 2;
-  cfg.duration_s = 30.0;  // far beyond the watchdog deadline
+  cfg.duration_s = 30.0;         // far beyond the watchdog deadline
+  cfg.ops_per_thread = 100'000;  // likewise: the queue stalls at pop 101
+  cfg.prefill = 1000;            // sort's insert phase; no-op inserts
+  cfg.repetitions = 1;
   cfg.watchdog_s = 0.25;
-  cfg.prefill = 0;
   cfg.label = "stalling-queue";
-  EXPECT_EXIT(
-      {
-        StallingQueue queue(cfg.threads);
-        bench::throughput_rep(queue, cfg, /*seed=*/7);
-      },
-      ::testing::ExitedWithCode(validation::kWatchdogExitCode),
-      "cpq-watchdog.*stalling-queue");
+  EXPECT_EXIT(GetParam().run(cfg),
+              ::testing::ExitedWithCode(validation::kWatchdogExitCode),
+              "cpq-watchdog.*stalling-queue");
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    ClosedLoopModes, WatchdogDeathTest,
+    ::testing::Values(
+        ClosedLoopMode{"throughput", run_stalling<bench::ThroughputMode>},
+        ClosedLoopMode{"quality", run_stalling<bench::QualityMode>},
+        ClosedLoopMode{"latency", run_stalling<bench::LatencyMode>},
+        ClosedLoopMode{"sort", run_stalling<bench::SortMode>}));
 
 }  // namespace
 }  // namespace cpq

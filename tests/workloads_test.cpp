@@ -437,7 +437,6 @@ TEST(SkewedEndToEnd, ThroughputWithPacingAndHygieneCompletes) {
   cfg.repetitions = 1;
   cfg.pin_threads = false;
   cfg.arrivals = ArrivalConfig::mmpp(50'000, 5'000, 0.005, 0.015);
-  cfg.shuffle_prefill = true;
   cfg.perturb_layout = true;
   cfg.label = "workloads_test/mq-paced";
   const bench::ThroughputResult result = mq->throughput(cfg);
